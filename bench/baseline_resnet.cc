@@ -39,7 +39,7 @@ void run_row(bool lars, tensor::Index per_replica) {
               r.model_name.c_str(),
               static_cast<long long>(r.global_batch),
               lars ? "LARS" : "RMSProp", r.peak_accuracy, r.peak_epoch,
-              100.0 * r.allreduce_fraction);
+              100.0 * r.phase_totals.allreduce_fraction());
   std::fflush(stdout);
 }
 

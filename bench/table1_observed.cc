@@ -1,10 +1,9 @@
 // Table 1, observed — measured step-phase breakdown next to the analytic
 // pod-model prediction, from one instrumented run per row.
 //
-// table1_measured times the whole run with two stopwatches; this harness
-// uses the obs:: layer end to end: the trainer emits one {"kind":"step"}
-// JSONL record per replica per step (phase wall times, counters, kernel
-// spans under PODNET_PROFILE), tpu::model_run appends its
+// The harness uses the obs:: layer end to end: the trainer emits one
+// {"kind":"step"} JSONL record per replica per step (phase wall times,
+// counters, kernel spans under PODNET_PROFILE), tpu::model_run appends its
 // {"kind":"model_run"} prediction for the same configuration, and a
 // {"kind":"table1_row"} summary puts the measured images/ms and measured
 // % of step time inside the gradient all-reduce side by side with the
@@ -297,7 +296,7 @@ int main(int argc, char** argv) {
       "columns from\ntpu::model_step on a slice with one v3 core per "
       "replica thread. Absolute\nvalues differ by construction — the "
       "structural checks are the all-reduce share\nordering across rows "
-      "(see table1_measured) and the exposed-time drop of the\noverlapped "
-      "variant at each slice size.\n");
+      "and the exposed-time drop of the overlapped variant\nat each slice "
+      "size.\n");
   return 0;
 }

@@ -7,17 +7,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <string_view>
 #include <memory>
 #include <stdexcept>
-#include <thread>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "check/check.h"
 #include "core/checkpoint.h"
 #include "core/flat_params.h"
+#include "core/supervisor.h"
 #include "data/loader.h"
 #include "data/prefetcher.h"
 #include "dist/bn_sync.h"
@@ -56,9 +55,13 @@ dist::BnGroups make_groups(const BnGroupingConfig& bn, int replicas) {
   return {};
 }
 
-bool file_exists(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  return f.good();
+// Advances an eval or checkpoint cadence past `epoch` by repeated
+// addition, never multiplication, so a resumed run lands on exactly the
+// same event epochs as an uninterrupted one. `every` <= 0 disables it.
+double next_after(double next, double every, double epoch) {
+  if (every <= 0) return next;
+  while (next <= epoch + 1e-9) next += every;
+  return next;
 }
 
 // Equivalence gate for the compiled graph-IR eval path (instrumented
@@ -181,8 +184,6 @@ class BucketedGradSync final : public nn::GradReadySink {
     begin_step();
   }
 
-  std::size_t bucket_count() const { return partition_.size(); }
-
   // Resets per-step tracking; call before every backward pass.
   void begin_step() {
     for (std::size_t b = 0; b < partition_.size(); ++b) {
@@ -263,6 +264,9 @@ bool ir_eval_default() {
 TrainResult train(const TrainConfig& config) {
   const int R = config.replicas;
   if (R < 1) throw std::invalid_argument("replicas must be >= 1");
+  if (config.per_replica_batch < 1) {
+    throw std::invalid_argument("per_replica_batch must be >= 1");
+  }
   if (config.per_replica_batch * R > config.dataset.train_size) {
     throw std::invalid_argument("global batch larger than train split");
   }
@@ -276,6 +280,10 @@ TrainResult train(const TrainConfig& config) {
   if (config.min_ranks < 1) {
     throw std::invalid_argument("min_ranks must be >= 1");
   }
+  if (!(config.eval_every_epochs > 0)) {
+    throw std::invalid_argument("eval_every_epochs must be > 0");
+  }
+  make_groups(config.bn, R);  // throws on a grouping that does not fit
   for (const dist::FaultSpec& f : config.faults.faults) {
     // A silently killed rank is only survivable when its peers can both
     // detect the hang (deadlines) and continue without it (elastic);
@@ -300,52 +308,12 @@ TrainResult train(const TrainConfig& config) {
   }
 
   TrainResult result;
-  result.global_batch = config.per_replica_batch * R;
-  result.final_world_size = R;
   const Clock::time_point t0 = Clock::now();
-
-  // Rollback bookkeeping, written by rank 0 (threads are joined before the
-  // supervisor reads them).
-  bool have_checkpoint = config.resume && file_exists(config.checkpoint_path);
-  std::int64_t last_ckpt_step = 0;
-  double last_ckpt_epoch = 0.0;
-
-  // Elastic world state. `survivors[local_rank]` is the original rank id;
-  // `blob_rank[local_rank]` is the "replica/N" checkpoint blob a survivor
-  // resumes from (original position at the time the checkpoint was
-  // written; rewritten to identity whenever a new checkpoint lands).
-  std::vector<int> survivors(static_cast<std::size_t>(R));
-  std::vector<int> blob_rank(static_cast<std::size_t>(R));
-  for (int r = 0; r < R; ++r) survivors[static_cast<std::size_t>(r)] = r;
-  for (int r = 0; r < R; ++r) blob_rank[static_cast<std::size_t>(r)] = r;
-  std::uint64_t world_gen = 0;
-  // Recovery marker for the first step of the next attempt (see
-  // obs::StepMetrics::recovery_event). Written by the supervisor between
-  // attempts only; replica threads read it concurrently but never write.
-  int pending_recovery = 0;
-
-  // Rolls result.history (and the peak/loss rollups derived from it) back
-  // to the restore point; the relaunched run regenerates everything after.
-  auto roll_back_history = [&](double resume_epoch) {
-    std::erase_if(result.history, [&](const EvalPoint& p) {
-      return p.epoch > resume_epoch + 1e-9;
-    });
-    result.peak_accuracy = 0;
-    result.peak_epoch = 0;
-    result.seconds_to_peak = 0;
-    for (const EvalPoint& p : result.history) {
-      if (p.eval_accuracy > result.peak_accuracy) {
-        result.peak_accuracy = p.eval_accuracy;
-        result.peak_epoch = p.epoch;
-        result.seconds_to_peak = p.wall_seconds;
-      }
-    }
-    result.final_train_loss =
-        result.history.empty() ? 0 : result.history.back().train_loss;
-  };
+  Supervisor supervisor(config, result);
 
   for (;;) {  // supervised attempts; bounded by max_restarts / min_ranks
-    const int W = static_cast<int>(survivors.size());
+    const int W = supervisor.world_size();
+    const std::vector<int>& survivors = supervisor.survivors();
     result.global_batch = config.per_replica_batch * W;
     std::atomic<bool> inconsistent{false};
 
@@ -357,21 +325,16 @@ TrainResult train(const TrainConfig& config) {
       comm_options.health = std::make_shared<dist::HealthBoard>(R);
     }
     comm_options.global_ranks = survivors;
-    comm_options.generation = world_gen;
+    comm_options.generation = supervisor.generation();
     dist::Communicator comm(W, comm_options);
     if (injector) comm.set_fault_injector(injector.get());
 
     dist::BnGroups groups;
-    if (world_gen == 0) {
-      groups = make_groups(config.bn, W);  // a bad config should still throw
-    } else {
-      try {
-        groups = make_groups(config.bn, W);
-      } catch (const std::invalid_argument&) {
-        // Degraded mode: the configured grouping no longer divides the
-        // shrunken world; fall back to replica-local batch norm.
-        groups = {};
-      }
+    try {
+      groups = make_groups(config.bn, W);
+    } catch (const std::invalid_argument&) {
+      // Degraded mode: the configured grouping no longer divides the
+      // shrunken world; fall back to replica-local batch norm.
     }
     std::unique_ptr<dist::BnSyncSet> bn_syncs;
     if (!groups.empty()) {
@@ -379,7 +342,10 @@ TrainResult train(const TrainConfig& config) {
     }
     std::vector<std::vector<std::uint8_t>> replica_blobs(
         static_cast<std::size_t>(W));
-    const bool resume_now = have_checkpoint;
+    const bool resume_now = supervisor.have_checkpoint();
+    // Marker for the first step of this attempt (obs::StepMetrics::
+    // recovery_event): how the previous attempt was recovered from.
+    const int pending_recovery = static_cast<int>(result.last_recovery);
 
     auto replica_body = [&](int rank) {
       // --- Per-replica (thread-confined) state ------------------------------
@@ -437,9 +403,6 @@ TrainResult train(const TrainConfig& config) {
                                    std::min<tensor::Index>(
                                        config.per_replica_batch, 256));
       const tensor::Index steps_per_epoch = loader.steps_per_epoch();
-      if (steps_per_epoch < 1) {
-        throw std::invalid_argument("global batch larger than train split");
-      }
       const std::int64_t total_steps = static_cast<std::int64_t>(
           std::llround(config.epochs * static_cast<double>(steps_per_epoch)));
 
@@ -477,8 +440,7 @@ TrainResult train(const TrainConfig& config) {
           // A survivor resumes from the blob written under its rank at the
           // time the checkpoint was taken (identity until a resize).
           const std::string key =
-              "replica/" +
-              std::to_string(blob_rank[static_cast<std::size_t>(rank)]);
+              "replica/" + std::to_string(supervisor.blob_rank(rank));
           const auto* replica_blob = find_extra(extra, key);
           if (!replica_blob) {
             throw std::runtime_error("checkpoint: missing '" + key +
@@ -487,19 +449,12 @@ TrainResult train(const TrainConfig& config) {
           optim::StateReader rr(*replica_blob);
           load_replica_state(rr, rngs, bn_state, loss_sum, loss_steps,
                              train_correct, train_seen);
-          // The checkpoint's step counter is meaningful only in the world
-          // size it was written at (steps_per_epoch changed with W);
-          // across a resize the epoch is the invariant resume coordinate.
-          std::int64_t ckpt_world = W;
-          if (const auto* world_blob = find_extra(extra, "world")) {
-            optim::StateReader wr(*world_blob);
-            ckpt_world = static_cast<std::int64_t>(wr.get_u64());
-          }
-          start_step =
-              ckpt_world == W
-                  ? meta.step
-                  : static_cast<std::int64_t>(std::llround(
-                        meta.epoch * static_cast<double>(steps_per_epoch)));
+          // The epoch is the resume coordinate that survives a resize
+          // (steps_per_epoch changes with W). In the world that wrote the
+          // checkpoint it maps back to exactly meta.step, since meta.epoch
+          // is meta.step / steps_per_epoch.
+          start_step = std::llround(
+              meta.epoch * static_cast<double>(steps_per_epoch));
         }
         // No "optim" blob: a weights-only checkpoint (e.g. the final one of
         // a finished run) degrades to a warm start from step 0.
@@ -507,16 +462,11 @@ TrainResult train(const TrainConfig& config) {
 
       const double start_epoch = static_cast<double>(start_step) /
                                  static_cast<double>(steps_per_epoch);
-      double next_eval_epoch = config.eval_every_epochs;
-      while (next_eval_epoch <= start_epoch + 1e-9) {
-        next_eval_epoch += config.eval_every_epochs;
-      }
-      double next_ckpt_epoch = config.checkpoint_every_epochs;
-      if (config.checkpoint_every_epochs > 0) {
-        while (next_ckpt_epoch <= start_epoch + 1e-9) {
-          next_ckpt_epoch += config.checkpoint_every_epochs;
-        }
-      }
+      double next_eval_epoch = next_after(
+          config.eval_every_epochs, config.eval_every_epochs, start_epoch);
+      double next_ckpt_epoch =
+          next_after(config.checkpoint_every_epochs,
+                     config.checkpoint_every_epochs, start_epoch);
 
       // Compiled graph-IR eval path (DESIGN.md "Graph IR & passes"). The
       // model re-lowers at every eval point: conv+BN folding bakes the
@@ -524,7 +474,6 @@ TrainResult train(const TrainConfig& config) {
       // is rebuilt after the EMA swap and the BN averaging, cheap next to
       // the eval pass itself.
       const bool use_ir = config.ir_eval && model.lowerable();
-      const ir::PassOptions ir_opts = ir::PassOptions::from_env();
       std::int64_t ir_bytes_last_eval = 0;
 
       auto run_eval = [&](double at_epoch, float lr_now_) {
@@ -544,7 +493,7 @@ TrainResult train(const TrainConfig& config) {
         std::unique_ptr<ir::Executor> exec;
         if (use_ir) {
           eval_prog = nn::lower_to_program(model);
-          ir::run_passes(eval_prog, ir_opts);
+          ir::run_passes(eval_prog);
           exec = std::make_unique<ir::Executor>(eval_prog);
           // The planned arena replaces the interpreter's per-layer im2col
           // scratch; training re-grows it lazily on the next step.
@@ -614,12 +563,6 @@ TrainResult train(const TrainConfig& config) {
           p.lr = lr_now_;
           p.wall_seconds = seconds_since(t0);
           result.history.push_back(p);
-          if (p.eval_accuracy > result.peak_accuracy) {
-            result.peak_accuracy = p.eval_accuracy;
-            result.peak_epoch = at_epoch;
-            result.seconds_to_peak = p.wall_seconds;
-          }
-          result.final_train_loss = p.train_loss;
           if (config.verbose) {
             std::printf(
                 "[%s] epoch %6.2f  loss %7.4f  train top-1 %6.4f  eval top-1 "
@@ -655,26 +598,17 @@ TrainResult train(const TrainConfig& config) {
             extra.emplace_back("replica/" + std::to_string(r),
                                replica_blobs[static_cast<std::size_t>(r)]);
           }
-          {
-            optim::StateWriter ww;
-            ww.put_u64(static_cast<std::uint64_t>(W));
-            extra.emplace_back("world", ww.take());
-          }
+          optim::StateWriter ww;  // kept in the format; resume reads meta
+          ww.put_u64(static_cast<std::uint64_t>(W));
+          extra.emplace_back("world", ww.take());
           CheckpointMeta meta;
           meta.step = at_step;
           meta.epoch = at_epoch;
           save_checkpoint(config.checkpoint_path, params, bn_state, meta,
                           extra);
-          have_checkpoint = true;
-          last_ckpt_step = at_step;
-          last_ckpt_epoch = at_epoch;
-          // This checkpoint's replica blobs are indexed by *current* local
-          // rank, so the resume mapping resets to the identity. Safe to
-          // write here: peers are between the gather and durable barriers
-          // and only the supervisor reads blob_rank after the join.
-          for (int r = 0; r < W; ++r) {
-            blob_rank[static_cast<std::size_t>(r)] = r;
-          }
+          // Safe to write here: peers are between the gather and durable
+          // barriers, and blob ranks are read only at an attempt's start.
+          supervisor.checkpoint_written(at_epoch);
         }
         comm.barrier(rank, "ckpt_durable");  // durable before proceeding
       };
@@ -735,18 +669,21 @@ TrainResult train(const TrainConfig& config) {
         nn::Tensor logits = model.forward(batch.images, /*training=*/true);
         nn::LossResult loss = nn::softmax_cross_entropy(
             logits, batch.labels, config.label_smoothing);
-        // BN group reductions run nested inside forward; report them as
-        // their own phase and keep kForward pure compute.
+        // BN group reductions run nested inside forward and backward;
+        // report them as their own phase and keep kForward / kBackward
+        // pure compute.
         const double fwd_s = phase_timer.lap();
         const double bn_s = bn_timer ? bn_timer->take_seconds() : 0.0;
-        sm.phase(obs::Phase::kBnSync) = bn_s;
         sm.phase(obs::Phase::kForward) = std::max(0.0, fwd_s - bn_s);
         model.backward(loss.grad_logits);
+        const double bn_bwd_s = bn_timer ? bn_timer->take_seconds() : 0.0;
+        sm.phase(obs::Phase::kBnSync) = bn_s + bn_bwd_s;
         double pack_s = 0.0;
         double ar_s = 0.0;
         double exposed_s = 0.0;
         if (grad_sync == nullptr) {
-          sm.phase(obs::Phase::kBackward) = phase_timer.lap();
+          sm.phase(obs::Phase::kBackward) =
+              std::max(0.0, phase_timer.lap() - bn_bwd_s);
 
           // Gradient all-reduce -> global-mean gradients on every replica.
           // Pack/unpack get their own phase: billing them to the optimizer
@@ -771,7 +708,7 @@ TrainResult train(const TrainConfig& config) {
           const double bwd_lap = phase_timer.lap();
           const double pack_in_bwd = grad_sync->pack_seconds();
           sm.phase(obs::Phase::kBackward) =
-              std::max(0.0, bwd_lap - pack_in_bwd);
+              std::max(0.0, bwd_lap - pack_in_bwd - bn_bwd_s);
           grad_sync->flush();  // stragglers the model never announced
           pack_s = pack_in_bwd + phase_timer.lap();
           // Join point: every gradient must be globally reduced before
@@ -848,9 +785,8 @@ TrainResult train(const TrainConfig& config) {
           run_eval(epoch_after, lr_now);
           sm.phase(obs::Phase::kEval) = eval_timer.seconds();
           sm.ir_scratch_bytes = ir_bytes_last_eval;
-          while (next_eval_epoch <= epoch_after + 1e-9) {
-            next_eval_epoch += config.eval_every_epochs;
-          }
+          next_eval_epoch = next_after(next_eval_epoch,
+                                       config.eval_every_epochs, epoch_after);
         }
 
         // Bytes this rank pushed through allreduce_sum during the step
@@ -870,9 +806,8 @@ TrainResult train(const TrainConfig& config) {
         if (config.checkpoint_every_epochs > 0 && !last &&
             epoch_after + 1e-9 >= next_ckpt_epoch) {
           write_train_checkpoint(step + 1, epoch_after);
-          while (next_ckpt_epoch <= epoch_after + 1e-9) {
-            next_ckpt_epoch += config.checkpoint_every_epochs;
-          }
+          next_ckpt_epoch = next_after(
+              next_ckpt_epoch, config.checkpoint_every_epochs, epoch_after);
         }
       }
       if (observing) config.metrics_sink->flush();
@@ -881,11 +816,7 @@ TrainResult train(const TrainConfig& config) {
         result.total_steps = total_steps;
         result.wall_seconds = seconds_since(t0);
         result.phase_totals = phase_totals;
-        result.allreduce_bytes = phase_totals.allreduce_bytes;
         result.ir_scratch_bytes = ir_bytes_last_eval;
-        result.allreduce_fraction = phase_totals.allreduce_fraction();
-        result.exposed_allreduce_fraction =
-            phase_totals.exposed_allreduce_fraction();
         if (!config.checkpoint_path.empty()) {
           if (ema) ema->swap(params);  // checkpoint the eval-quality weights
           CheckpointMeta meta;
@@ -915,118 +846,9 @@ TrainResult train(const TrainConfig& config) {
             throw;
           }
         });
-    if (const std::exception_ptr primary = dist::primary_failure(errors)) {
-      // Union the death declarations across ranks: multiple waiters may
-      // have detected (overlapping) dead sets, and the dying rank itself
-      // contributes its own PermanentRankDeath.
-      std::vector<int> dead;
-      std::int64_t death_step = -1;
-      for (const std::exception_ptr& e : errors) {
-        if (!e) continue;
-        try {
-          std::rethrow_exception(e);
-        } catch (const dist::WorldResizeRequired& wr) {
-          dead.insert(dead.end(), wr.dead_ranks().begin(),
-                      wr.dead_ranks().end());
-          death_step = std::max(death_step, wr.step());
-        } catch (...) {
-        }
-      }
-      std::sort(dead.begin(), dead.end());
-      dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
-
-      if (!dead.empty() && config.elastic) {
-        // ---- Elastic world resize: continue degraded on the survivors ----
-        for (int d : dead) {
-          for (std::size_t i = 0; i < survivors.size(); ++i) {
-            if (survivors[i] == d) {
-              survivors.erase(survivors.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-              blob_rank.erase(blob_rank.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-              break;
-            }
-          }
-        }
-        if (static_cast<int>(survivors.size()) < config.min_ranks) {
-          std::rethrow_exception(primary);  // below quorum: unrecoverable
-        }
-        const bool from_ckpt =
-            have_checkpoint && file_exists(config.checkpoint_path);
-        const double resume_epoch = from_ckpt ? last_ckpt_epoch : 0.0;
-        // Lost work is counted in the dying world's step numbering (its
-        // steps_per_epoch differs from the survivors'). death_step is -1
-        // when only barrier waiters detected the loss.
-        const std::int64_t spe_old =
-            config.dataset.train_size / (config.per_replica_batch * W);
-        result.failed_steps += std::max<std::int64_t>(
-            0, death_step -
-                   static_cast<std::int64_t>(std::llround(
-                       resume_epoch * static_cast<double>(spe_old))));
-        result.recovered_from_epoch = resume_epoch;
-        roll_back_history(resume_epoch);
-        ++result.resizes;
-        ++world_gen;
-        result.last_recovery = RecoveryOutcome::kWorldResized;
-        pending_recovery = 2;
-        WorldResizeEvent ev;
-        ev.epoch = resume_epoch;
-        ev.dead_ranks = dead;
-        ev.world_size_after = static_cast<int>(survivors.size());
-        ev.global_batch_after =
-            config.per_replica_batch *
-            static_cast<std::int64_t>(survivors.size());
-        result.resize_events.push_back(ev);
-        result.final_world_size = static_cast<int>(survivors.size());
-        if (config.verbose) {
-          std::string dead_str;
-          for (int d : dead) {
-            if (!dead_str.empty()) dead_str += ",";
-            dead_str += std::to_string(d);
-          }
-          std::printf(
-              "[elastic] rank(s) %s dead -> resize %d to world %d from "
-              "epoch %.2f\n",
-              dead_str.c_str(), result.resizes, ev.world_size_after,
-              resume_epoch);
-          std::fflush(stdout);
-        }
-        continue;
-      }
-
-      // Not an elastic death; classify. A ReplicaFailure rolls back and
-      // retries at the same world size; anything else — including a death
-      // declaration with elastic off — fails the run.
-      try {
-        std::rethrow_exception(primary);
-      } catch (const dist::ReplicaFailure& failure) {
-        if (result.restarts >= config.max_restarts) throw;
-        ++result.restarts;
-        const bool from_ckpt =
-            have_checkpoint && file_exists(config.checkpoint_path);
-        const std::int64_t resume_step = from_ckpt ? last_ckpt_step : 0;
-        const double resume_epoch = from_ckpt ? last_ckpt_epoch : 0.0;
-        result.failed_steps +=
-            std::max<std::int64_t>(0, failure.step() - resume_step);
-        result.recovered_from_epoch = resume_epoch;
-        roll_back_history(resume_epoch);
-        result.last_recovery = RecoveryOutcome::kRolledBack;
-        pending_recovery = 1;
-        if (config.verbose) {
-          std::printf(
-              "[recovery] %s -> restart %d from epoch %.2f (step %lld)\n",
-              failure.what(), result.restarts, resume_epoch,
-              static_cast<long long>(resume_step));
-          std::fflush(stdout);
-        }
-        if (config.restart_backoff_ms > 0) {
-          const double ms = config.restart_backoff_ms *
-                            std::ldexp(1.0, result.restarts - 1);
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(ms));
-        }
-        continue;
-      }
+    if (dist::primary_failure(errors)) {
+      supervisor.recover(errors);  // rethrows when the run cannot continue
+      continue;
     }
 
     if (inconsistent.load()) {
@@ -1035,7 +857,16 @@ TrainResult train(const TrainConfig& config) {
     }
     break;
   }
-  result.final_world_size = static_cast<int>(survivors.size());
+  for (const EvalPoint& p : result.history) {
+    if (p.eval_accuracy > result.peak_accuracy) {
+      result.peak_accuracy = p.eval_accuracy;
+      result.peak_epoch = p.epoch;
+      result.seconds_to_peak = p.wall_seconds;
+    }
+  }
+  if (!result.history.empty()) {
+    result.final_train_loss = result.history.back().train_loss;
+  }
   return result;
 }
 

@@ -13,15 +13,12 @@
 // init seed, identical all-reduced gradients, deterministic optimizer);
 // `check_consistency` makes the trainer assert it every epoch.
 //
-// Fault tolerance: train() is a supervised loop. With
-// checkpoint_every_epochs set, rank 0 periodically writes a full-state
-// checkpoint (weights, BN statistics, optimizer slots, EMA, per-replica
-// RNG streams and metric accumulators). A recoverable fault
-// (dist::ReplicaFailure — injected, or a detected corrupted collective)
-// aborts the surviving replicas, rolls back to the last good checkpoint,
-// and relaunches, up to max_restarts times with exponential backoff.
-// Resumed runs are bit-exact: the recovered run produces the same final
-// weights as an uninterrupted run with the same seed (tests assert it).
+// Fault tolerance: train() is a loop of attempts. Rank 0 periodically
+// writes full-state checkpoints, and after a failed attempt
+// core::Supervisor (core/supervisor.h) decides whether to roll back,
+// shrink the world or give up. Resumed runs are bit-exact: the recovered
+// run produces the same final weights as an uninterrupted run with the
+// same seed (tests assert it).
 #pragma once
 
 #include <cstdint>
@@ -84,12 +81,12 @@ struct TrainConfig {
   // ---- Graph-IR evaluation (DESIGN.md "Graph IR & passes") -----------------
   // Route the sharded eval forward pass through the compiled graph IR:
   // the model is lowered to an ir::Program, optimized (conv+BN folding,
-  // epilogue fusion, DCE + arena planning; pass set from PODNET_IR_FOLD /
-  // _FUSE / _DCE), and executed against one planned scratch arena. The
-  // per-layer interpreter scratch is released for the duration. Training
-  // always keeps the layer interpreter. Falls back to the interpreter when
-  // the model does not lower (bf16 multiplicands, custom layers). Defaults
-  // to the PODNET_IR environment variable; see ir_eval_default().
+  // epilogue fusion, DCE + arena planning), and executed against one
+  // planned scratch arena. The per-layer interpreter scratch is released
+  // for the duration. Training always keeps the layer interpreter. Falls
+  // back to the interpreter when the model does not lower (bf16
+  // multiplicands, custom layers). Defaults to the PODNET_IR environment
+  // variable; see ir_eval_default().
   bool ir_eval = ir_eval_default();
 
   // ---- Bucketed all-reduce overlap (DESIGN.md "Bucketed overlap") ----------
@@ -176,11 +173,12 @@ struct TrainConfig {
   bool verbose = false;
 };
 
-// How the supervised loop last recovered from a fault.
+// How the supervised loop last recovered from a fault. The values are
+// the recovery_event codes of obs::StepMetrics.
 enum class RecoveryOutcome {
-  kNone,          // no recovery happened
-  kRolledBack,    // checkpoint rollback + relaunch at the same world size
-  kWorldResized,  // elastic: relaunched with a shrunken world
+  kNone = 0,          // no recovery happened
+  kRolledBack = 1,    // checkpoint rollback + relaunch at the same world size
+  kWorldResized = 2,  // elastic: relaunched with a shrunken world
 };
 
 // One elastic world shrink, as observed by the supervisor.
@@ -203,6 +201,7 @@ struct EvalPoint {
 
 struct TrainResult {
   std::vector<EvalPoint> history;
+  // Derived from history: the best eval point and the last train loss.
   double peak_accuracy = 0;
   double peak_epoch = 0;
   double seconds_to_peak = 0;
@@ -211,22 +210,15 @@ struct TrainResult {
   double wall_seconds = 0;
   std::int64_t global_batch = 0;
   std::string model_name;
-  // Measured share of replica-0 training time spent inside the gradient
-  // all-reduce — the real-execution counterpart of Table 1's column
-  // (thread-scale, so absolute values differ from pod scale). Equals
-  // phase_totals.allreduce_fraction().
-  double allreduce_fraction = 0;
-  // Share of step time the step actually *waited* on gradient all-reduce
-  // (== allreduce_fraction serially; lower with overlap on). Equals
-  // phase_totals.exposed_allreduce_fraction().
-  double exposed_allreduce_fraction = 0;
   // Rank 0's run-level rollup of per-step phase times and counters (from
   // the final successful attempt; steps lost to faults are not included).
+  // Its allreduce_fraction() is the measured counterpart of Table 1's
+  // all-reduce column, exposed_allreduce_fraction() the share the step
+  // actually waited on, and allreduce_bytes the float payload rank 0
+  // pushed through Communicator::allreduce_sum (gradient buckets, plus BN
+  // statistics averaged at eval points; BN *group* reductions use their
+  // own communicators and are not counted).
   obs::PhaseTotals phase_totals;
-  // Float payload rank 0 pushed through Communicator::allreduce_sum over
-  // the run (gradient buckets, plus BN statistics averaged at eval points;
-  // BN *group* reductions use their own communicators and are not counted).
-  std::int64_t allreduce_bytes = 0;
   // Planned peak arena bytes of the compiled eval program (rank 0's last
   // eval; 0 when ir_eval is off or the model did not lower). Compare with
   // the interpreter's per-layer im2col scratch high-water mark.

@@ -1,26 +1,8 @@
 #include "ir/passes.h"
 
-#include <cstdlib>
-
 #include "ir/verify.h"
 
 namespace podnet::ir {
-namespace {
-
-bool env_enabled(const char* name) {
-  const char* v = std::getenv(name);
-  return v == nullptr || !(v[0] == '0' && v[1] == '\0');
-}
-
-}  // namespace
-
-PassOptions PassOptions::from_env() {
-  PassOptions opts;
-  opts.fold_bn = env_enabled("PODNET_IR_FOLD");
-  opts.fuse = env_enabled("PODNET_IR_FUSE");
-  opts.dce = env_enabled("PODNET_IR_DCE");
-  return opts;
-}
 
 PassStats run_passes(Program& p, const PassOptions& opts) {
   PassStats stats;

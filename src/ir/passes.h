@@ -31,10 +31,6 @@ struct PassOptions {
   bool fold_bn = true;
   bool fuse = true;
   bool dce = true;
-
-  // Reads the PODNET_IR_FOLD / PODNET_IR_FUSE / PODNET_IR_DCE toggles
-  // ("0" disables; anything else, or unset, enables). See README.
-  static PassOptions from_env();
 };
 
 struct PassStats {

@@ -236,6 +236,15 @@ TEST(FaultRecoveryTest, ConfigValidation) {
   c.checkpoint_every_epochs = 0.0;
   c.resume = true;  // no checkpoint_path either
   EXPECT_THROW(core::train(c), std::invalid_argument);
+  c.resume = false;
+  // An eval cadence that never advances would spin forever.
+  for (double every : {0.0, -1.0}) {
+    c.eval_every_epochs = every;
+    EXPECT_THROW(core::train(c), std::invalid_argument) << every;
+  }
+  c.eval_every_epochs = 1.0;
+  c.per_replica_batch = 0;  // no steps per epoch
+  EXPECT_THROW(core::train(c), std::invalid_argument);
 }
 
 // ---- run_replicas failure-capture policy (satellite) -----------------------

@@ -364,14 +364,14 @@ TEST(TrainerObservabilityTest, EmitsOneRecordPerRankPerStep) {
   EXPECT_EQ(r.phase_totals.steps, 2);
   EXPECT_EQ(r.phase_totals.images, 32);
   EXPECT_GT(r.phase_totals.step_seconds, 0.0);
-  EXPECT_GT(r.allreduce_bytes, 0);
-  EXPECT_GE(r.allreduce_fraction, 0.0);
-  EXPECT_LT(r.allreduce_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(r.allreduce_fraction, r.phase_totals.allreduce_fraction());
+  EXPECT_GT(r.phase_totals.allreduce_bytes, 0);
+  EXPECT_GE(r.phase_totals.allreduce_fraction(), 0.0);
+  EXPECT_LT(r.phase_totals.allreduce_fraction(), 1.0);
   // Serially, the exposed wait is the all-reduce phase itself.
   EXPECT_DOUBLE_EQ(r.phase_totals.phase(obs::Phase::kAllReduceExposed),
                    r.phase_totals.phase(obs::Phase::kAllReduce));
-  EXPECT_DOUBLE_EQ(r.exposed_allreduce_fraction, r.allreduce_fraction);
+  EXPECT_DOUBLE_EQ(r.phase_totals.exposed_allreduce_fraction(),
+                   r.phase_totals.allreduce_fraction());
   // Phases tile the step: their sum cannot exceed total step time. Eval is
   // measured outside the step window, and the exposed all-reduce is an
   // overlay of the kAllReduce phase (the waited-on part), not another

@@ -138,7 +138,8 @@ TEST(TrainerTest, OverlapOffIsBitExactSerialPath) {
   EXPECT_EQ(a.peak_accuracy, b.peak_accuracy);
   EXPECT_EQ(a.history.back().train_loss, b.history.back().train_loss);
   // Serially, the exposed wait IS the all-reduce phase.
-  EXPECT_DOUBLE_EQ(a.exposed_allreduce_fraction, a.allreduce_fraction);
+  EXPECT_DOUBLE_EQ(a.phase_totals.exposed_allreduce_fraction(),
+                   a.phase_totals.allreduce_fraction());
 }
 
 TEST(TrainerTest, OverlapRunIsDeterministicAndConsistent) {
@@ -156,8 +157,8 @@ TEST(TrainerTest, OverlapRunIsDeterministicAndConsistent) {
   const TrainResult b = train(c);
   EXPECT_EQ(a.final_train_loss, b.final_train_loss);
   EXPECT_EQ(a.peak_accuracy, b.peak_accuracy);
-  EXPECT_GE(a.exposed_allreduce_fraction, 0.0);
-  EXPECT_LT(a.exposed_allreduce_fraction, 1.0);
+  EXPECT_GE(a.phase_totals.exposed_allreduce_fraction(), 0.0);
+  EXPECT_LT(a.phase_totals.exposed_allreduce_fraction(), 1.0);
 }
 
 TEST(TrainerTest, OverlapTrainsEquivalentlyToSerial) {
@@ -191,6 +192,34 @@ TEST(TrainerTest, OverlapWorksUnderCollectiveVerification) {
   c.verify_collectives = true;
   c.allreduce = dist::AllReduceAlgorithm::kTwoLevelRing;
   EXPECT_NO_THROW(train(c));
+}
+
+TEST(TrainerTest, BnSyncTimeIsBilledOnceToItsOwnStep) {
+  // BN group reductions run inside both forward and backward. Each step's
+  // bn_sync must hold exactly its own reductions, taken out of forward and
+  // backward: the in-step phases then tile the step without overlap, and
+  // forward keeps its compute instead of absorbing the previous step's
+  // backward reductions.
+  TrainConfig c = base_config();
+  c.epochs = 1.0;
+  c.replicas = 4;
+  c.per_replica_batch = 4;
+  c.bn.kind = BnGroupingConfig::Kind::k1d;
+  c.bn.group_size = 2;
+  for (bool overlap : {false, true}) {
+    c.overlap = overlap;
+    const obs::PhaseTotals t = train(c).phase_totals;
+    double in_step = 0;
+    for (obs::Phase p :
+         {obs::Phase::kDataLoad, obs::Phase::kForward, obs::Phase::kBnSync,
+          obs::Phase::kBackward, obs::Phase::kGradPack,
+          obs::Phase::kAllReduceExposed, obs::Phase::kOptimizer}) {
+      in_step += t.phase(p);
+    }
+    EXPECT_LE(in_step, t.step_seconds + 1e-6) << "overlap=" << overlap;
+    EXPECT_GT(t.phase(obs::Phase::kForward), 0.0) << "overlap=" << overlap;
+    EXPECT_GT(t.phase(obs::Phase::kBnSync), 0.0) << "overlap=" << overlap;
+  }
 }
 
 TEST(TrainerTest, RejectsOversizedGlobalBatch) {

@@ -24,7 +24,11 @@
 #      must be named in ir.cc (op_kind_name), printer.cc, and analysis.cc
 #      (the shape/range/scratch tables), and every pass TU must consult
 #      the DefUse legality analysis — a new op kind or a legality-blind
-#      pass fails here before it can fail at runtime.
+#      pass fails here before it can fail at runtime;
+#   8. std::getenv under src/ only in the files that own the runtime
+#      variables: tensor/simd.cc (PODNET_SIMD), tensor/thread_pool.cc
+#      (PODNET_THREADS) and core/trainer.cc (PODNET_IR) — a new variable
+#      has to be added here and to the README knob table on purpose.
 set -u
 fail=0
 
@@ -103,6 +107,18 @@ for p in $(find src/ir -name 'pass_*.cc' 2>/dev/null | sort); do
     fail=1
   fi
 done
+
+matches=$(grep -rn 'getenv' --include='*.cc' --include='*.h' src/ \
+  2>/dev/null |
+  grep -v -e '^src/tensor/simd\.cc:' -e '^src/tensor/thread_pool\.cc:' \
+          -e '^src/core/trainer\.cc:')
+if [ -n "$matches" ]; then
+  printf '%s\n' "$matches"
+  echo "lint: std::getenv under src/ is allowed only in tensor/simd.cc," \
+       "tensor/thread_pool.cc and core/trainer.cc; a new runtime variable" \
+       "goes on that list and into the README knob table"
+  fail=1
+fi
 
 for h in $(find src -name '*.h' | sort); do
   if ! grep -q '#pragma once' "$h"; then
