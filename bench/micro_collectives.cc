@@ -4,7 +4,8 @@
 // interconnect instead of on host threads).
 //
 // Two modes share one binary:
-//   (default)   google-benchmark over the collective algorithms;
+//   (default)   google-benchmark over the collective algorithms, timed on
+//               persistent replica threads (time_on_replicas);
 //   --smoke     overlapped-vs-serial gate for the `perf_smoke` ctest
 //               label: reduces the same bucketed gradient payload once
 //               serially (blocking allreduce_sum per bucket) and once
@@ -32,18 +33,41 @@ namespace {
 
 using namespace podnet::dist;
 
+// Times one collective on `ranks` persistent replica threads. The ranks
+// start once per benchmark run, meet at a barrier, run the run's
+// iterations back to back and meet again; rank 0's clock between the two
+// barriers is the run's time. Starting threads inside the timed loop would
+// measure thread start-up, not the collective, at small sizes.
+template <typename Op>
+void time_on_replicas(benchmark::State& state, Communicator& comm,
+                      int ranks, Op op) {
+  using clock = std::chrono::steady_clock;
+  const benchmark::IterationCount iters = state.max_iterations;
+  double seconds = 0;
+  run_replicas(ranks, [&](int r) {
+    comm.barrier(r, "bench_start");
+    const auto t0 = clock::now();
+    for (benchmark::IterationCount i = 0; i < iters; ++i) op(r);
+    comm.barrier(r, "bench_stop");
+    if (r == 0) {
+      seconds = std::chrono::duration<double>(clock::now() - t0).count();
+    }
+  });
+  for (auto _ : state) {
+    state.SetIterationTime(seconds / static_cast<double>(iters));
+  }
+}
+
 void run_allreduce(benchmark::State& state, AllReduceAlgorithm alg) {
   const int ranks = static_cast<int>(state.range(0));
   const std::size_t elems = static_cast<std::size_t>(state.range(1));
   std::vector<std::vector<float>> data(static_cast<std::size_t>(ranks),
                                        std::vector<float>(elems, 1.f));
   Communicator comm(ranks);
-  for (auto _ : state) {
-    run_replicas(ranks, [&](int r) {
-      comm.allreduce_sum(r, data[static_cast<std::size_t>(r)], alg);
-    });
-    benchmark::DoNotOptimize(data[0][0]);
-  }
+  time_on_replicas(state, comm, ranks, [&](int r) {
+    comm.allreduce_sum(r, data[static_cast<std::size_t>(r)], alg);
+  });
+  benchmark::DoNotOptimize(data[0][0]);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(elems) * ranks * 4);
 }
@@ -69,38 +93,34 @@ void collective_args(benchmark::internal::Benchmark* b) {
   }
 }
 
-BENCHMARK(BM_AllReduceFlat)->Apply(collective_args)->UseRealTime();
-BENCHMARK(BM_AllReduceRing)->Apply(collective_args)->UseRealTime();
+BENCHMARK(BM_AllReduceFlat)->Apply(collective_args)->UseManualTime();
+BENCHMARK(BM_AllReduceRing)->Apply(collective_args)->UseManualTime();
 BENCHMARK(BM_AllReduceHalvingDoubling)
     ->Apply(collective_args)
-    ->UseRealTime();
+    ->UseManualTime();
 BENCHMARK(BM_AllReduceTwoLevelRing)
     ->Apply(collective_args)
-    ->UseRealTime();
+    ->UseManualTime();
 
 void BM_Broadcast(benchmark::State& state) {
   const int ranks = 4;
   const std::size_t elems = static_cast<std::size_t>(state.range(0));
   std::vector<std::vector<float>> data(ranks, std::vector<float>(elems, 1.f));
   Communicator comm(ranks);
-  for (auto _ : state) {
-    run_replicas(ranks, [&](int r) {
-      comm.broadcast(r, 0, data[static_cast<std::size_t>(r)]);
-    });
-  }
+  time_on_replicas(state, comm, ranks, [&](int r) {
+    comm.broadcast(r, 0, data[static_cast<std::size_t>(r)]);
+  });
 }
-BENCHMARK(BM_Broadcast)->Arg(1 << 16)->UseRealTime();
+BENCHMARK(BM_Broadcast)->Arg(1 << 16)->UseManualTime();
 
 void BM_ScalarAllReduce(benchmark::State& state) {
   const int ranks = 4;
   Communicator comm(ranks);
-  for (auto _ : state) {
-    run_replicas(ranks,
-                 [&](int r) { benchmark::DoNotOptimize(
-                     comm.allreduce_scalar(r, 1.0)); });
-  }
+  time_on_replicas(state, comm, ranks, [&](int r) {
+    benchmark::DoNotOptimize(comm.allreduce_scalar(r, 1.0));
+  });
 }
-BENCHMARK(BM_ScalarAllReduce)->UseRealTime();
+BENCHMARK(BM_ScalarAllReduce)->UseManualTime();
 
 // ---- --smoke: overlapped == serial, bitwise ------------------------------
 

@@ -81,6 +81,11 @@ class Cursor {
     pos_ += n;
   }
 
+  void skip(std::size_t n, const char* what) {
+    require(n, what);
+    pos_ += n;
+  }
+
   template <typename T>
   T get_pod(const char* what) {
     T v;
@@ -149,6 +154,109 @@ void read_tensor_staged(Cursor& in, const std::string& expect_name,
   s.data.resize(static_cast<std::size_t>(t.numel()));
   in.get_bytes(s.data.data(), s.data.size() * 4, "data");
   staged.push_back(std::move(s));
+}
+
+// Checks one tensor record's bounds and steps over it, for readers that
+// have no receiving model.
+void skip_tensor(Cursor& in) {
+  const auto name_len = in.get_pod<std::uint32_t>("name length");
+  in.get_string(name_len, "tensor name");
+  const auto rank = in.get_pod<std::uint32_t>("rank");
+  std::size_t bytes = 4;
+  for (std::uint32_t d = 0; d < rank; ++d) {
+    const auto dim = in.get_pod<std::int64_t>("dim");
+    if (dim < 0 || (dim > 0 && bytes > in.remaining() /
+                                           static_cast<std::size_t>(dim))) {
+      throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                            "checkpoint: implausible tensor shape");
+    }
+    bytes *= static_cast<std::size_t>(dim);
+  }
+  in.skip(bytes, "data");
+}
+
+// The blob section, which must end the file.
+ExtraState read_extras(Cursor& in, const std::string& path) {
+  const auto extra_count = in.get_pod<std::uint64_t>("extra count");
+  if (extra_count > 1u << 20) {
+    throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                          "checkpoint: implausible extra-blob count");
+  }
+  ExtraState extras;
+  extras.reserve(static_cast<std::size_t>(extra_count));
+  for (std::uint64_t i = 0; i < extra_count; ++i) {
+    const auto name_len = in.get_pod<std::uint32_t>("extra name length");
+    std::string name = in.get_string(name_len, "extra name");
+    const auto blob_size = in.get_pod<std::uint64_t>("extra size");
+    if (blob_size > in.remaining()) {
+      throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                            "checkpoint: truncated reading extra '" + name +
+                                "'");
+    }
+    std::vector<std::uint8_t> blob(static_cast<std::size_t>(blob_size));
+    in.get_bytes(blob.data(), blob.size(), "extra bytes");
+    extras.emplace_back(std::move(name), std::move(blob));
+  }
+  if (in.remaining() != 0) {
+    throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                          "checkpoint: trailing bytes in " + path);
+  }
+  return extras;
+}
+
+// The whole file at `path` once its size, magic, version and CRC check
+// out. The body between version and CRC starts with the meta.
+std::vector<std::uint8_t> read_verified(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    throw CheckpointError(CheckpointErrorKind::kIo,
+                          "checkpoint: cannot open " + path);
+  }
+  const std::streamsize size = in.tellg();
+  // Smallest valid file: header + zero tensors + zero blobs + CRC.
+  constexpr std::streamsize kMinSize = 4 + 4 + 8 + 8 + 8 + 8 + 4;
+  if (size < kMinSize) {
+    throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                          "checkpoint: file too small: " + path);
+  }
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()), size);
+  if (!in) {
+    throw CheckpointError(CheckpointErrorKind::kIo,
+                          "checkpoint: read failed for " + path);
+  }
+
+  // Validate magic/version before the CRC so a wrong-format file gets a
+  // precise error rather than a generic checksum mismatch.
+  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
+    throw CheckpointError(CheckpointErrorKind::kFormat,
+                          "checkpoint: bad magic in " + path);
+  }
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  if (version != kVersion) {
+    throw CheckpointError(CheckpointErrorKind::kFormat,
+                          "checkpoint: unsupported version " +
+                              std::to_string(version) + " in " + path);
+  }
+  std::uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4,
+              sizeof(stored_crc));
+  const std::uint32_t computed_crc = crc32(bytes.data(), bytes.size() - 4);
+  if (stored_crc != computed_crc) {
+    throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                          "checkpoint: CRC mismatch in " + path +
+                              " (file corrupted)");
+  }
+  return bytes;
+}
+
+CheckpointMeta read_meta(Cursor& in) {
+  CheckpointMeta meta;
+  meta.step = in.get_pod<std::int64_t>("step");
+  meta.epoch = in.get_pod<double>("epoch");
+  return meta;
 }
 
 std::string state_name(std::size_t i) {
@@ -221,53 +329,9 @@ CheckpointMeta load_checkpoint(const std::string& path,
                                const std::vector<nn::Param*>& params,
                                const std::vector<nn::Tensor*>& state,
                                ExtraState* extra) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    throw CheckpointError(CheckpointErrorKind::kIo,
-                          "checkpoint: cannot open " + path);
-  }
-  const std::streamsize size = in.tellg();
-  // Smallest valid file: header + zero tensors + zero blobs + CRC.
-  constexpr std::streamsize kMinSize = 4 + 4 + 8 + 8 + 8 + 8 + 4;
-  if (size < kMinSize) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "checkpoint: file too small: " + path);
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) {
-    throw CheckpointError(CheckpointErrorKind::kIo,
-                          "checkpoint: read failed for " + path);
-  }
-
-  // Validate magic/version before the CRC so a wrong-format file gets a
-  // precise error rather than a generic checksum mismatch.
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    throw CheckpointError(CheckpointErrorKind::kFormat,
-                          "checkpoint: bad magic in " + path);
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  if (version != kVersion) {
-    throw CheckpointError(CheckpointErrorKind::kFormat,
-                          "checkpoint: unsupported version " +
-                              std::to_string(version) + " in " + path);
-  }
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4,
-              sizeof(stored_crc));
-  const std::uint32_t computed_crc = crc32(bytes.data(), bytes.size() - 4);
-  if (stored_crc != computed_crc) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "checkpoint: CRC mismatch in " + path +
-                              " (file corrupted)");
-  }
-
+  const std::vector<std::uint8_t> bytes = read_verified(path);
   Cursor cur(bytes.data() + 8, bytes.size() - 8 - 4);
-  CheckpointMeta meta;
-  meta.step = cur.get_pod<std::int64_t>("step");
-  meta.epoch = cur.get_pod<double>("epoch");
+  const CheckpointMeta meta = read_meta(cur);
   const auto count = cur.get_pod<std::uint64_t>("tensor count");
   if (count != params.size() + state.size()) {
     throw CheckpointError(
@@ -284,36 +348,25 @@ CheckpointMeta load_checkpoint(const std::string& path,
   for (std::size_t i = 0; i < state.size(); ++i) {
     read_tensor_staged(cur, state_name(i), *state[i], staged);
   }
-  const auto extra_count = cur.get_pod<std::uint64_t>("extra count");
-  if (extra_count > 1u << 20) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "checkpoint: implausible extra-blob count");
-  }
-  ExtraState extras;
-  extras.reserve(static_cast<std::size_t>(extra_count));
-  for (std::uint64_t i = 0; i < extra_count; ++i) {
-    const auto name_len = cur.get_pod<std::uint32_t>("extra name length");
-    std::string name = cur.get_string(name_len, "extra name");
-    const auto blob_size = cur.get_pod<std::uint64_t>("extra size");
-    if (blob_size > cur.remaining()) {
-      throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                            "checkpoint: truncated reading extra '" + name +
-                                "'");
-    }
-    std::vector<std::uint8_t> blob(static_cast<std::size_t>(blob_size));
-    cur.get_bytes(blob.data(), blob.size(), "extra bytes");
-    extras.emplace_back(std::move(name), std::move(blob));
-  }
-  if (cur.remaining() != 0) {
-    throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                          "checkpoint: trailing bytes in " + path);
-  }
+  ExtraState extras = read_extras(cur, path);
 
   // Commit point: nothing above mutates the receiving model, so every
   // throw on the way here is all-or-nothing.
   for (StagedTensor& s : staged) {
     std::memcpy(s.dst->data(), s.data.data(), s.data.size() * 4);
   }
+  if (extra) *extra = std::move(extras);
+  return meta;
+}
+
+CheckpointMeta read_checkpoint_meta(const std::string& path,
+                                    ExtraState* extra) {
+  const std::vector<std::uint8_t> bytes = read_verified(path);
+  Cursor cur(bytes.data() + 8, bytes.size() - 8 - 4);
+  const CheckpointMeta meta = read_meta(cur);
+  const auto count = cur.get_pod<std::uint64_t>("tensor count");
+  for (std::uint64_t i = 0; i < count; ++i) skip_tensor(cur);
+  ExtraState extras = read_extras(cur, path);
   if (extra) *extra = std::move(extras);
   return meta;
 }

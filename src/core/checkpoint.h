@@ -85,6 +85,13 @@ CheckpointMeta load_checkpoint(const std::string& path,
                                const std::vector<nn::Tensor*>& state,
                                ExtraState* extra = nullptr);
 
+// Reads the stored meta and, when `extra` is non-null, the stored blobs
+// without a receiving model: the file gets load_checkpoint's checks, and
+// tensor payloads are bounds-checked and skipped. Throws CheckpointError
+// on I/O failure, corruption or format error.
+CheckpointMeta read_checkpoint_meta(const std::string& path,
+                                    ExtraState* extra = nullptr);
+
 // Looks up a blob by name; returns nullptr when absent.
 const std::vector<std::uint8_t>* find_extra(const ExtraState& extra,
                                             const std::string& name);

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 
+#include "core/checkpoint.h"
 #include "dist/fault.h"
 #include "dist/health.h"
 #include "dist/replica.h"
@@ -20,7 +21,12 @@ Supervisor::Supervisor(const TrainConfig& config, TrainResult& result)
   checkpoint_world_ = survivors_;
   if (config.resume &&
       std::ifstream(config.checkpoint_path, std::ios::binary).good()) {
-    checkpoint_epoch_ = 0.0;
+    // The first attempt resumes where the file says; a weights-only file
+    // (no "optim" blob, e.g. a finished run's) warm-starts from step 0.
+    ExtraState extra;
+    const CheckpointMeta meta =
+        read_checkpoint_meta(config.checkpoint_path, &extra);
+    checkpoint_epoch_ = find_extra(extra, "optim") ? meta.epoch : 0.0;
   }
   result_.final_world_size = world_size();
 }

@@ -267,6 +267,9 @@ TrainResult train(const TrainConfig& config) {
   if (config.per_replica_batch < 1) {
     throw std::invalid_argument("per_replica_batch must be >= 1");
   }
+  if (config.dataset.num_classes < 2) {
+    throw std::invalid_argument("dataset.num_classes must be >= 2");
+  }
   if (config.per_replica_batch * R > config.dataset.train_size) {
     throw std::invalid_argument("global batch larger than train split");
   }

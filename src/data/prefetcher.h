@@ -4,8 +4,9 @@
 // them to the device ("infeed") while the previous step computes. The
 // Prefetcher mirrors that: a background thread renders the next training
 // batch while the replica trains on the current one, hiding the synthesis
-// cost of SyntheticImageNet. One prefetcher per replica (thread-confined
-// consumer; the producer thread is internal).
+// cost of SyntheticImageNet. With class texels cached, that cost is mostly
+// the per-value noise draw (and any augmentation). One prefetcher per
+// replica (thread-confined consumer; the producer thread is internal).
 //
 // No wait in the queue is unbounded (dist::deadline_wait): a producer that
 // dies mid-epoch surfaces its exception through next() instead of leaving

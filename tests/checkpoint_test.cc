@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
@@ -184,6 +185,30 @@ TEST(CheckpointTest, ExtraBlobsRoundTrip) {
   EXPECT_EQ(*find_extra(loaded, "replica/1"),
             std::vector<std::uint8_t>(100, 0xAB));
   EXPECT_EQ(find_extra(loaded, "missing"), nullptr);
+}
+
+TEST(CheckpointTest, MetaReaderNeedsNoModel) {
+  auto model = make_model(1);
+  auto params = nn::parameters_of(model);
+  std::vector<nn::Tensor*> state;
+  model.collect_state(state);
+  CheckpointMeta meta;
+  meta.step = 24;
+  meta.epoch = 1.5;
+  ExtraState extra;
+  extra.emplace_back("optim", std::vector<std::uint8_t>{9, 8, 7});
+  const std::string path = temp_path("meta_only.ckpt");
+  save_checkpoint(path, params, state, meta, extra);
+
+  ExtraState read;
+  const CheckpointMeta got = read_checkpoint_meta(path, &read);
+  EXPECT_EQ(got.step, 24);
+  EXPECT_EQ(got.epoch, 1.5);
+  EXPECT_EQ(read, extra);
+
+  // Same checks as a load: a truncated file is rejected.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  EXPECT_THROW(read_checkpoint_meta(path), CheckpointError);
 }
 
 TEST(CheckpointTest, AtomicWriteLeavesNoTempFile) {

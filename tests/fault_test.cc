@@ -245,6 +245,12 @@ TEST(FaultRecoveryTest, ConfigValidation) {
   c.eval_every_epochs = 1.0;
   c.per_replica_batch = 0;  // no steps per epoch
   EXPECT_THROW(core::train(c), std::invalid_argument);
+  c.per_replica_batch = fault_config().per_replica_batch;
+  // Fewer than two classes is no classification task.
+  for (int classes : {1, 0}) {
+    c.dataset.num_classes = classes;
+    EXPECT_THROW(core::train(c), std::invalid_argument) << classes;
+  }
 }
 
 // ---- run_replicas failure-capture policy (satellite) -----------------------

@@ -8,8 +8,10 @@
 
 #include <exception>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "dist/communicator.h"
 #include "dist/fault.h"
 #include "dist/health.h"
@@ -92,6 +94,48 @@ TEST(SupervisorTest, RollsBackToStepZeroWithoutACheckpoint) {
   EXPECT_EQ(r.recovered_from_epoch, 0.0);
   EXPECT_TRUE(r.history.empty());
   EXPECT_FALSE(sup.have_checkpoint());
+}
+
+// A model-free checkpoint at `epoch`; `full_state` adds the "optim" blob a
+// periodic checkpoint carries (a finished run's final file has none).
+std::string checkpoint_at(const std::string& name, double epoch,
+                          bool full_state) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  CheckpointMeta meta;
+  meta.step = 16;
+  meta.epoch = epoch;
+  ExtraState extra;
+  if (full_state) extra.emplace_back("optim", std::vector<std::uint8_t>{1});
+  save_checkpoint(path, {}, {}, meta, extra);
+  return path;
+}
+
+TEST(SupervisorTest, ResumedRunRollsBackToTheResumedCheckpoint) {
+  TrainConfig c = supervised_config();
+  c.resume = true;
+  c.checkpoint_path = checkpoint_at("resumed_epoch2.ckpt", 2.0, true);
+  TrainResult r = result_with_evals({3.0});
+  Supervisor sup(c, r);
+  EXPECT_TRUE(sup.have_checkpoint());
+
+  // No periodic checkpoint yet in this run: the rollback goes back to the
+  // file it resumed from, epoch 2 = step 16.
+  sup.recover({failure(1, 20), aborted(), aborted(), aborted()});
+  EXPECT_EQ(r.recovered_from_epoch, 2.0);
+  EXPECT_EQ(r.failed_steps, 20 - 16);
+  EXPECT_EQ(epochs_of(r), std::vector<double>{});
+}
+
+TEST(SupervisorTest, WeightsOnlyResumeRollsBackToStepZero) {
+  TrainConfig c = supervised_config();
+  c.resume = true;
+  c.checkpoint_path = checkpoint_at("weights_only.ckpt", 2.0, false);
+  TrainResult r;
+  Supervisor sup(c, r);
+  EXPECT_TRUE(sup.have_checkpoint());
+  sup.recover({failure(0, 5)});
+  EXPECT_EQ(r.recovered_from_epoch, 0.0);
+  EXPECT_EQ(r.failed_steps, 5);
 }
 
 TEST(SupervisorTest, RethrowsOnceRestartsAreUsedUp) {
