@@ -12,7 +12,9 @@
 //               through dist::BucketReducer (comm thread on the bucket
 //               channel, submissions interleaved with fake backward
 //               compute), and fails if the two results are not bitwise
-//               identical for every algorithm x rank-count combination.
+//               identical for every algorithm x rank-count combination,
+//               on a payload whose kFlat buckets take the chunked path and
+//               on one whose buckets take the one-rendezvous path.
 //               Wall times are printed for eyeballing the overlap win but
 //               are not gated — CI timer jitter would make that flaky.
 #include <benchmark/benchmark.h>
@@ -94,6 +96,9 @@ void collective_args(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(BM_AllReduceFlat)->Apply(collective_args)->UseManualTime();
+// BN-statistics size: mean and variance of 64 channels plus a count, the
+// largest distributed-BN payload of efficientnet-pico.
+BENCHMARK(BM_AllReduceFlat)->Args({2, 129})->Args({4, 129})->UseManualTime();
 BENCHMARK(BM_AllReduceRing)->Apply(collective_args)->UseManualTime();
 BENCHMARK(BM_AllReduceHalvingDoubling)
     ->Apply(collective_args)
@@ -121,6 +126,15 @@ void BM_ScalarAllReduce(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_ScalarAllReduce)->UseManualTime();
+
+void BM_ScalarMinMax(benchmark::State& state) {
+  const int ranks = 4;
+  Communicator comm(ranks);
+  time_on_replicas(state, comm, ranks, [&](int r) {
+    benchmark::DoNotOptimize(comm.allreduce_minmax(r, static_cast<double>(r)));
+  });
+}
+BENCHMARK(BM_ScalarMinMax)->UseManualTime();
 
 // ---- --smoke: overlapped == serial, bitwise ------------------------------
 
@@ -157,14 +171,15 @@ double fake_backward_chunk(std::vector<float>& scratch) {
   return acc;
 }
 
-int run_overlap_smoke() {
+// One payload whose buckets take kFlat's chunked path and one whose
+// buckets (129 floats, a BN-statistics size) take its one-rendezvous path.
+int run_overlap_smoke(std::size_t elems) {
   using clock = std::chrono::steady_clock;
-  constexpr std::size_t kElems = 1 << 16;
   constexpr std::size_t kBuckets = 8;
-  const auto ranges = bucket_ranges(kElems, kBuckets);
+  const auto ranges = bucket_ranges(elems, kBuckets);
 
-  std::printf("%-18s %6s   %12s %12s   %s\n", "algorithm", "ranks",
-              "serial ms", "overlap ms", "bitwise");
+  std::printf("%-18s %6s %8s   %12s %12s   %s\n", "algorithm", "ranks",
+              "elems", "serial ms", "overlap ms", "bitwise");
   int failures = 0;
   for (AllReduceAlgorithm alg :
        {AllReduceAlgorithm::kFlat, AllReduceAlgorithm::kRing,
@@ -175,8 +190,8 @@ int run_overlap_smoke() {
       std::vector<std::vector<float>> serial(r_count);
       std::vector<std::vector<float>> overlapped(r_count);
       for (std::size_t r = 0; r < r_count; ++r) {
-        serial[r].resize(kElems);
-        for (std::size_t i = 0; i < kElems; ++i) {
+        serial[r].resize(elems);
+        for (std::size_t i = 0; i < elems; ++i) {
           serial[r][i] = payload(static_cast<int>(r), i);
         }
         overlapped[r] = serial[r];
@@ -189,7 +204,7 @@ int run_overlap_smoke() {
         Communicator comm(ranks);
         const auto t0 = clock::now();
         run_replicas(ranks, [&](int r) {
-          std::vector<float> scratch(kElems / kBuckets, 0.5f);
+          std::vector<float> scratch(elems / kBuckets, 0.5f);
           for (std::size_t b = 0; b < kBuckets; ++b) {
             benchmark::DoNotOptimize(fake_backward_chunk(scratch));
           }
@@ -212,7 +227,7 @@ int run_overlap_smoke() {
         const auto t0 = clock::now();
         run_replicas(ranks, [&](int r) {
           BucketReducer reducer(&comm, r, alg);
-          std::vector<float> scratch(kElems / kBuckets, 0.5f);
+          std::vector<float> scratch(elems / kBuckets, 0.5f);
           auto& mine = overlapped[static_cast<std::size_t>(r)];
           for (std::size_t b = 0; b < kBuckets; ++b) {
             benchmark::DoNotOptimize(fake_backward_chunk(scratch));
@@ -230,21 +245,14 @@ int run_overlap_smoke() {
 
       const bool identical =
           std::memcmp(serial[0].data(), overlapped[0].data(),
-                      kElems * sizeof(float)) == 0;
-      std::printf("%-18s %6d   %12.3f %12.3f   %s\n", to_string(alg).c_str(),
-                  ranks, serial_ms, overlap_ms,
-                  identical ? "OK" : "MISMATCH");
+                      elems * sizeof(float)) == 0;
+      std::printf("%-18s %6d %8zu   %12.3f %12.3f   %s\n",
+                  to_string(alg).c_str(), ranks, elems, serial_ms,
+                  overlap_ms, identical ? "OK" : "MISMATCH");
       if (!identical) ++failures;
     }
   }
-  if (failures == 0) {
-    std::printf("collectives_overlap_smoke OK: overlapped bucket reduction "
-                "bitwise-identical to serial on all combinations\n");
-  } else {
-    std::printf("collectives_overlap_smoke FAIL: %d combination(s) "
-                "diverged\n", failures);
-  }
-  return failures == 0 ? 0 : 1;
+  return failures;
 }
 
 }  // namespace
@@ -252,7 +260,19 @@ int run_overlap_smoke() {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
-      return run_overlap_smoke();
+      static_assert(129 <= Communicator::kOneShotMaxFloats &&
+                    (std::size_t{1} << 13) > Communicator::kOneShotMaxFloats);
+      const int failures =
+          run_overlap_smoke(std::size_t{1} << 16) + run_overlap_smoke(8 * 129);
+      if (failures == 0) {
+        std::printf("collectives_overlap_smoke OK: overlapped bucket "
+                    "reduction bitwise-identical to serial on all "
+                    "combinations\n");
+      } else {
+        std::printf("collectives_overlap_smoke FAIL: %d combination(s) "
+                    "diverged\n", failures);
+      }
+      return failures == 0 ? 0 : 1;
     }
   }
   benchmark::Initialize(&argc, argv);

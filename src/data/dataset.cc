@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace podnet::data {
 
@@ -18,7 +19,9 @@ DatasetConfig imagenet_proportions() {
 
 SyntheticImageNet::SyntheticImageNet(const DatasetConfig& config)
     : config_(config) {
-  assert(config_.num_classes >= 2);
+  if (config_.num_classes < 2) {
+    throw std::invalid_argument("DatasetConfig::num_classes must be >= 2");
+  }
   tensor::Rng rng(config_.seed);
   textures_.resize(static_cast<std::size_t>(config_.num_classes));
   for (auto& tex : textures_) {

@@ -60,6 +60,7 @@ DatasetConfig imagenet_proportions();
 
 class SyntheticImageNet {
  public:
+  // Throws std::invalid_argument when config.num_classes < 2.
   explicit SyntheticImageNet(const DatasetConfig& config);
 
   const DatasetConfig& config() const { return config_; }

@@ -71,9 +71,6 @@ std::string to_string(AllReduceAlgorithm alg) {
   return "unknown";
 }
 
-Communicator::Communicator(int num_ranks)
-    : Communicator(num_ranks, CommOptions{}) {}
-
 Communicator::Communicator(int num_ranks, CommOptions options)
     : num_ranks_(num_ranks),
       options_(std::move(options)),
@@ -136,16 +133,17 @@ void Communicator::verify_collective(Channel& ch, int rank,
 #define PODNET_VERIFY_COLLECTIVE(ch, rank, op, count, dtype, detail, bucket, \
                                  tag)                                        \
   do {                                                                       \
+    (void)(detail);                                                          \
+    (void)(bucket);                                                          \
+    (void)(tag);                                                             \
   } while (false)
 #endif
 
 void Communicator::AbortableBarrier::arrive_and_wait(int rank) {
   check::UniqueLock lock(mu_);
   if (aborted_) throw_aborted();
-  if (rank >= 0) {
-    arrived_[static_cast<std::size_t>(rank)] = 1;
-    owner_->heartbeat(rank);
-  }
+  arrived_[static_cast<std::size_t>(rank)] = 1;
+  owner_->heartbeat(rank);
   const std::uint64_t gen = generation_;
   if (++waiting_ == n_) {
     waiting_ = 0;
@@ -154,10 +152,7 @@ void Communicator::AbortableBarrier::arrive_and_wait(int rank) {
     cv_.notify_all();
     return;
   }
-  // Untracked arrivals (rank < 0) cannot be distinguished from a hung
-  // rank, so the watchdog only runs for tracked waits.
-  Watchdog wd(&owner_->options_.deadline,
-              rank >= 0 ? owner_->health() : nullptr);
+  Watchdog wd(&owner_->options_.deadline, owner_->health());
   const WaitStatus status = deadline_wait(
       cv_, lock, owner_->options_.deadline,
       [&] { return generation_ != gen || aborted_; },
@@ -202,12 +197,9 @@ void Communicator::AbortableBarrier::throw_aborted() const {
   throw CommAborted();
 }
 
-void Communicator::barrier() { main_.barrier.arrive_and_wait(/*rank=*/-1); }
-
 void Communicator::barrier(int rank, const char* tag) {
   PODNET_VERIFY_COLLECTIVE(main_, rank, check::CollectiveOp::kBarrier, 0,
                            check::CollectiveDtype::kNone, -1, -1, tag);
-  (void)tag;
   main_.barrier.arrive_and_wait(rank);
 }
 
@@ -220,27 +212,40 @@ void Communicator::abort() {
 
 void Communicator::run_allreduce(Channel& ch, int rank, std::span<float> data,
                                  AllReduceAlgorithm alg) {
-  switch (alg) {
-    case AllReduceAlgorithm::kFlat:
-      allreduce_flat(ch, rank, data);
-      break;
-    case AllReduceAlgorithm::kRing:
-      allreduce_ring(ch, rank, data);
-      break;
-    case AllReduceAlgorithm::kHalvingDoubling:
-      if (is_power_of_two(num_ranks_)) {
-        allreduce_halving_doubling(ch, rank, data);
-      } else {
-        allreduce_ring(ch, rank, data);  // documented fallback
-      }
-      break;
-    case AllReduceAlgorithm::kTwoLevel:
-      allreduce_two_level(ch, rank, data);
-      break;
-    case AllReduceAlgorithm::kTwoLevelRing:
-      allreduce_two_level_ring(ch, rank, data);
-      break;
+  // Timed even for the single-rank no-op so calls/bytes counters stay
+  // meaningful at every slice size.
+  obs::Timer timer;
+  if (num_ranks_ > 1) {
+    switch (alg) {
+      case AllReduceAlgorithm::kFlat:
+        allreduce_flat(ch, rank, data);
+        break;
+      case AllReduceAlgorithm::kRing:
+        allreduce_ring(ch, rank, data);
+        break;
+      case AllReduceAlgorithm::kHalvingDoubling:
+        if (is_power_of_two(num_ranks_)) {
+          allreduce_halving_doubling(ch, rank, data);
+        } else {
+          allreduce_ring(ch, rank, data);  // documented fallback
+        }
+        break;
+      case AllReduceAlgorithm::kTwoLevel:
+        allreduce_two_level(ch, rank, data);
+        break;
+      case AllReduceAlgorithm::kTwoLevelRing:
+        allreduce_two_level_ring(ch, rank, data);
+        break;
+    }
+    // Scripted payload corruption lands on this rank's finished copy, the
+    // shared-memory analogue of a link corrupting the received chunk.
+    if (injector_ != nullptr) injector_->maybe_corrupt(global_rank(rank), data);
   }
+  const double seconds = timer.seconds();
+  StatsCell& cell = stats_[static_cast<std::size_t>(rank)];
+  check::ScopedLock lock(cell.mu);
+  cell.data.allreduce[static_cast<int>(alg)].record(
+      data.size() * sizeof(float), seconds);
 }
 
 void Communicator::allreduce_sum(int rank, std::span<float> data,
@@ -248,19 +253,7 @@ void Communicator::allreduce_sum(int rank, std::span<float> data,
   PODNET_VERIFY_COLLECTIVE(main_, rank, check::CollectiveOp::kAllReduce,
                            data.size(), check::CollectiveDtype::kF32,
                            static_cast<std::int32_t>(alg), -1, tag);
-  (void)tag;
-  // Timed even for the single-rank no-op so calls/bytes counters stay
-  // meaningful at every slice size; the timing cost is two clock reads
-  // against a call that already crosses several barriers.
-  obs::Timer timer;
-  if (num_ranks_ > 1) {
-    run_allreduce(main_, rank, data, alg);
-    // Scripted payload corruption lands on this rank's finished copy, the
-    // shared-memory analogue of a link corrupting the received chunk.
-    if (injector_ != nullptr) injector_->maybe_corrupt(global_rank(rank), data);
-  }
-  record_allreduce_stats(rank, alg, data.size() * sizeof(float),
-                         timer.seconds());
+  run_allreduce(main_, rank, data, alg);
 }
 
 void Communicator::allreduce_sum_bucket(int rank, std::span<float> data,
@@ -270,29 +263,54 @@ void Communicator::allreduce_sum_bucket(int rank, std::span<float> data,
                            data.size(), check::CollectiveDtype::kF32,
                            static_cast<std::int32_t>(alg), bucket,
                            tag != nullptr ? tag : "bucket_allreduce");
-  (void)tag;
-  obs::Timer timer;
-  if (num_ranks_ > 1) {
-    run_allreduce(bucket_, rank, data, alg);
-    if (injector_ != nullptr) injector_->maybe_corrupt(global_rank(rank), data);
+  run_allreduce(bucket_, rank, data, alg);
+}
+
+void Communicator::share_buffer(Channel& ch, int rank, std::span<float> data) {
+  ch.bufs[static_cast<std::size_t>(rank)] = data;
+  sync(ch, rank);
+  assert(ch.bufs[0].size() == data.size());
+}
+
+const float* Communicator::publish(Channel& ch, int rank, const void* payload,
+                                   std::size_t bytes) {
+  assert(bytes <= kOneShotMaxFloats * sizeof(float));
+  unsigned char& parity = ch.parity[static_cast<std::size_t>(rank)];
+  float* slots = ch.slots.get() + static_cast<std::size_t>(parity) *
+                                       num_ranks_ * kOneShotMaxFloats;
+  parity ^= 1;
+  if (bytes != 0) {
+    std::memcpy(slots + static_cast<std::size_t>(rank) * kOneShotMaxFloats,
+                payload, bytes);
   }
-  record_allreduce_stats(rank, alg, data.size() * sizeof(float),
-                         timer.seconds());
+  // No rendezvous after the reads: a rank reuses this slot set only at its
+  // call after next, which it cannot enter before every rank has arrived
+  // at the next call's rendezvous, i.e. has finished reading this one.
+  sync(ch, rank);
+  return slots;
 }
 
 void Communicator::allreduce_flat(Channel& ch, int rank,
                                   std::span<float> data) {
-  ch.bufs[static_cast<std::size_t>(rank)] = data.data();
-  ch.sizes[static_cast<std::size_t>(rank)] = data.size();
-  sync(ch, rank);
-  assert(ch.sizes[0] == data.size());
+  if (data.size() <= kOneShotMaxFloats) {
+    const float* slots =
+        publish(ch, rank, data.data(), data.size() * sizeof(float));
+    std::fill(data.begin(), data.end(), 0.f);
+    for (int r = 0; r < num_ranks_; ++r) {
+      accumulate_range(slots + static_cast<std::size_t>(r) * kOneShotMaxFloats,
+                       data.data(), 0, data.size());
+    }
+    return;
+  }
+  // Safe before the first rendezvous: every collective that touches
+  // ch.scratch ends with a rendezvous after its last read of it.
   if (rank == 0) ch.scratch.assign(data.size(), 0.f);
-  sync(ch, rank);
+  share_buffer(ch, rank, data);
   // Each rank reduces its chunk across every replica into shared scratch.
   const auto [begin, end] = chunk_range(data.size(), num_ranks_, rank);
   for (int r = 0; r < num_ranks_; ++r) {
-    accumulate_range(ch.bufs[static_cast<std::size_t>(r)], ch.scratch.data(),
-                     begin, end);
+    accumulate_range(ch.bufs[static_cast<std::size_t>(r)].data(),
+                     ch.scratch.data(), begin, end);
   }
   sync(ch, rank);
   copy_range(ch.scratch.data(), data.data(), 0, data.size());
@@ -302,11 +320,9 @@ void Communicator::allreduce_flat(Channel& ch, int rank,
 void Communicator::allreduce_ring(Channel& ch, int rank,
                                   std::span<float> data) {
   const int R = num_ranks_;
-  ch.bufs[static_cast<std::size_t>(rank)] = data.data();
-  ch.sizes[static_cast<std::size_t>(rank)] = data.size();
-  sync(ch, rank);
-  assert(ch.sizes[static_cast<std::size_t>((rank + 1) % R)] == data.size());
-  const float* left = ch.bufs[static_cast<std::size_t>((rank - 1 + R) % R)];
+  share_buffer(ch, rank, data);
+  const float* left =
+      ch.bufs[static_cast<std::size_t>((rank - 1 + R) % R)].data();
 
   // Reduce-scatter: after R-1 steps rank r holds the fully reduced chunk
   // (r + 1) mod R.
@@ -328,9 +344,7 @@ void Communicator::allreduce_ring(Channel& ch, int rank,
 void Communicator::allreduce_halving_doubling(Channel& ch, int rank,
                                               std::span<float> data) {
   const int R = num_ranks_;
-  ch.bufs[static_cast<std::size_t>(rank)] = data.data();
-  ch.sizes[static_cast<std::size_t>(rank)] = data.size();
-  sync(ch, rank);
+  share_buffer(ch, rank, data);
 
   // Recursive halving (reduce-scatter): each round the owned range halves;
   // the rank keeps the half matching its partner bit and accumulates the
@@ -342,7 +356,7 @@ void Communicator::allreduce_halving_doubling(Channel& ch, int rank,
   parents.reserve(8);
   for (int bit = R >> 1; bit >= 1; bit >>= 1) {
     const int partner = rank ^ bit;
-    const float* pbuf = ch.bufs[static_cast<std::size_t>(partner)];
+    const float* pbuf = ch.bufs[static_cast<std::size_t>(partner)].data();
     const std::size_t mid = lo + (hi - lo) / 2;
     parents.emplace_back(lo, hi);
     if ((rank & bit) == 0) {
@@ -357,7 +371,7 @@ void Communicator::allreduce_halving_doubling(Channel& ch, int rank,
   // exactly the complement of our range within the shared parent range.
   for (int bit = 1; bit < R; bit <<= 1) {
     const int partner = rank ^ bit;
-    const float* pbuf = ch.bufs[static_cast<std::size_t>(partner)];
+    const float* pbuf = ch.bufs[static_cast<std::size_t>(partner)].data();
     const auto [plo, phi] = parents.back();
     parents.pop_back();
     copy_range(pbuf, data.data(), plo, lo);
@@ -378,16 +392,13 @@ void Communicator::allreduce_two_level(Channel& ch, int rank,
   // torus dimension in turn (Ying et al.).
   const int R = num_ranks_;
   const std::size_t n = data.size();
-  ch.bufs[static_cast<std::size_t>(rank)] = data.data();
-  ch.sizes[static_cast<std::size_t>(rank)] = data.size();
-  sync(ch, rank);
   const int gs = group_size_for(R);
   const int groups = R / gs;
-
+  // Zeroed before the first rendezvous, as in allreduce_flat.
   if (rank == 0) {
     ch.scratch.assign(n * static_cast<std::size_t>(groups + gs), 0.f);
   }
-  sync(ch, rank);
+  share_buffer(ch, rank, data);
   const int group = rank / gs;
   const int pos = rank % gs;
 
@@ -397,7 +408,7 @@ void Communicator::allreduce_two_level(Channel& ch, int rank,
     float* block = ch.scratch.data() + static_cast<std::size_t>(group) * n;
     const auto [begin, end] = chunk_range(n, gs, pos);
     for (int m = 0; m < gs; ++m) {
-      accumulate_range(ch.bufs[static_cast<std::size_t>(group * gs + m)],
+      accumulate_range(ch.bufs[static_cast<std::size_t>(group * gs + m)].data(),
                        block, begin, end);
     }
   }
@@ -417,8 +428,8 @@ void Communicator::allreduce_two_level(Channel& ch, int rank,
         ch.scratch.data() + static_cast<std::size_t>(groups + pos) * n;
     const auto [begin, end] = chunk_range(n, groups, group);
     for (int m = 0; m < groups; ++m) {
-      accumulate_range(ch.bufs[static_cast<std::size_t>(m * gs + pos)], block,
-                       begin, end);
+      accumulate_range(ch.bufs[static_cast<std::size_t>(m * gs + pos)].data(),
+                       block, begin, end);
     }
   }
   sync(ch, rank);
@@ -445,19 +456,16 @@ void Communicator::allreduce_two_level_ring(Channel& ch, int rank,
   // gs == 1 (prime R) degenerates to the plain ring across all ranks.
   const int R = num_ranks_;
   const std::size_t n = data.size();
-  ch.bufs[static_cast<std::size_t>(rank)] = data.data();
-  ch.sizes[static_cast<std::size_t>(rank)] = n;
-  sync(ch, rank);
-  assert(ch.sizes[0] == n);
+  share_buffer(ch, rank, data);
   const int gs = group_size_for(R);
   const int groups = R / gs;
   const int group = rank / gs;
   const int pos = rank % gs;
   const int base = group * gs;
   const float* group_left =
-      ch.bufs[static_cast<std::size_t>(base + (pos - 1 + gs) % gs)];
+      ch.bufs[static_cast<std::size_t>(base + (pos - 1 + gs) % gs)].data();
   const float* peer_left = ch.bufs[static_cast<std::size_t>(
-      ((group - 1 + groups) % groups) * gs + pos)];
+      ((group - 1 + groups) % groups) * gs + pos)].data();
 
   // Phase A: intra-group ring reduce-scatter over the full vector.
   for (int s = 0; s < gs - 1; ++s) {
@@ -503,12 +511,10 @@ void Communicator::broadcast(int rank, int root, std::span<float> data,
   PODNET_VERIFY_COLLECTIVE(main_, rank, check::CollectiveOp::kBroadcast,
                            data.size(), check::CollectiveDtype::kF32, root, -1,
                            tag);
-  (void)tag;
   obs::Timer timer;
-  main_.bufs[static_cast<std::size_t>(rank)] = data.data();
-  sync(main_, rank);
+  share_buffer(main_, rank, data);
   if (rank != root) {
-    const float* src = main_.bufs[static_cast<std::size_t>(root)];
+    const float* src = main_.bufs[static_cast<std::size_t>(root)].data();
     copy_range(src, data.data(), 0, data.size());
   }
   sync(main_, rank);
@@ -526,7 +532,6 @@ void Communicator::allgather(int rank, std::span<const float> in,
   PODNET_VERIFY_COLLECTIVE(main_, rank, check::CollectiveOp::kAllGather,
                            in.size(), check::CollectiveDtype::kF32, -1, -1,
                            tag);
-  (void)tag;
   obs::Timer timer;
   if (rank == 0) main_.scratch.resize(out.size());
   sync(main_, rank);
@@ -542,57 +547,39 @@ void Communicator::allgather(int rank, std::span<const float> in,
                timer.seconds());
 }
 
+template <typename Fold>
+void Communicator::fold_scalars(int rank, double value, std::int32_t detail,
+                                const char* tag, Fold fold) {
+  PODNET_VERIFY_COLLECTIVE(main_, rank, check::CollectiveOp::kScalarReduce, 1,
+                           check::CollectiveDtype::kF64, detail, -1, tag);
+  obs::Timer timer;
+  const float* slots = publish(main_, rank, &value, sizeof value);
+  for (int r = 0; r < num_ranks_; ++r) {
+    double v;
+    std::memcpy(&v, slots + static_cast<std::size_t>(r) * kOneShotMaxFloats,
+                sizeof v);
+    fold(r, v);
+  }
+  record_stats(rank, &CommStats::scalar, sizeof(double), timer.seconds());
+}
+
 double Communicator::allreduce_scalar(int rank, double value,
                                       const char* tag) {
   if (num_ranks_ == 1) return value;
-  PODNET_VERIFY_COLLECTIVE(main_, rank, check::CollectiveOp::kScalarReduce, 1,
-                           check::CollectiveDtype::kF64, 0, -1, tag);
-  (void)tag;
-  obs::Timer timer;
-  main_.scalars[static_cast<std::size_t>(rank)] = value;
-  sync(main_, rank);
   double total = 0.0;
-  for (double v : main_.scalars) total += v;
-  sync(main_, rank);
-  record_stats(rank, &CommStats::scalar, sizeof(double), timer.seconds());
+  fold_scalars(rank, value, 0, tag, [&](int, double v) { total += v; });
   return total;
-}
-
-double Communicator::allreduce_max(int rank, double value, const char* tag) {
-  if (num_ranks_ == 1) return value;
-  PODNET_VERIFY_COLLECTIVE(main_, rank, check::CollectiveOp::kScalarReduce, 1,
-                           check::CollectiveDtype::kF64, 1, -1, tag);
-  (void)tag;
-  obs::Timer timer;
-  main_.scalars[static_cast<std::size_t>(rank)] = value;
-  sync(main_, rank);
-  double m = main_.scalars[0];
-  for (double v : main_.scalars) m = std::max(m, v);
-  sync(main_, rank);
-  record_stats(rank, &CommStats::scalar, sizeof(double), timer.seconds());
-  return m;
 }
 
 std::pair<double, double> Communicator::allreduce_minmax(int rank,
                                                          double value,
                                                          const char* tag) {
   if (num_ranks_ == 1) return {value, value};
-  PODNET_VERIFY_COLLECTIVE(main_, rank, check::CollectiveOp::kScalarReduce, 1,
-                           check::CollectiveDtype::kF64, 2, -1, tag);
-  (void)tag;
-  obs::Timer timer;
-  main_.scalars[static_cast<std::size_t>(rank)] = value;
-  sync(main_, rank);
-  double lo = main_.scalars[0];
-  double hi = main_.scalars[0];
-  for (double v : main_.scalars) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  sync(main_, rank);
-  // One round, one stats record — half the barriers of the min/max pair of
-  // allreduce_max calls this replaces.
-  record_stats(rank, &CommStats::scalar, sizeof(double), timer.seconds());
+  double lo = 0, hi = 0;
+  fold_scalars(rank, value, 2, tag, [&](int r, double v) {
+    lo = r == 0 ? v : std::min(lo, v);
+    hi = r == 0 ? v : std::max(hi, v);
+  });
   return {lo, hi};
 }
 

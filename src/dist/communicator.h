@@ -48,7 +48,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -75,7 +74,9 @@ class CommAborted : public std::runtime_error {
 };
 
 enum class AllReduceAlgorithm {
-  kFlat,              // chunked reduce into shared scratch, then copy-out
+  kFlat,              // <= kOneShotMaxFloats: 1 rendezvous, each rank
+                      // sums all slot copies; above: chunked reduce into
+                      // scratch, copy-out (3). Same 0.f+x0+x1+... bits.
   kRing,              // 2(R-1)-step ring reduce-scatter + all-gather
   kHalvingDoubling,   // recursive halving/doubling (power-of-two ranks)
   kTwoLevel,          // hierarchical: group-local sum, then cross-group —
@@ -114,9 +115,6 @@ struct alignas(64) CommStats {
   CollectiveStats allgather;
   CollectiveStats scalar;  // allreduce_scalar / _max / _minmax
 
-  const CollectiveStats& allreduce_by(AllReduceAlgorithm alg) const {
-    return allreduce[static_cast<int>(alg)];
-  }
   // Totals across every all-reduce algorithm.
   CollectiveStats allreduce_total() const {
     CollectiveStats t;
@@ -151,8 +149,14 @@ struct CommOptions {
 
 class Communicator {
  public:
-  explicit Communicator(int num_ranks);
-  Communicator(int num_ranks, CommOptions options);
+  // kFlat payloads of at most this many floats, and every scalar op, take
+  // the one-rendezvous path. Measured on a 4-vCPU host (BM_AllReduceFlat),
+  // the chunked path wins above 8K-16K floats at 8 ranks and 16K-32K at 4;
+  // at 4096 the one-shot path is 1.7-2.2x faster at 2, 4 and 8 ranks.
+  // Slots cost 2 x ranks x 16 KiB per channel, resident only once written.
+  static constexpr std::size_t kOneShotMaxFloats = 4096;
+
+  explicit Communicator(int num_ranks, CommOptions options = {});
 
   int size() const { return num_ranks_; }
 
@@ -175,15 +179,11 @@ class Communicator {
   }
 
   // Blocks until all ranks arrive; throws CommAborted after abort().
-  // Untracked (no rank): usable only with deadlines disabled.
-  void barrier();
-
-  // Verified barrier: in PODNET_CHECK builds the calling rank's fingerprint
+  // Verified: in PODNET_CHECK builds the calling rank's fingerprint
   // (sequence number + tag) is cross-checked against every other rank
   // before the rendezvous, so a rank that skipped a collective — or is at
   // a *different* collective — is diagnosed instead of silently pairing
-  // up with the wrong rendezvous. Identical to barrier() when checking is
-  // off.
+  // up with the wrong rendezvous.
   void barrier(int rank, const char* tag = nullptr);
 
   // Permanently poisons the communicator: wakes every rank blocked at a
@@ -225,15 +225,18 @@ class Communicator {
   void allgather(int rank, std::span<const float> in, std::span<float> out,
                  const char* tag = nullptr);
 
-  // Sum-reduces a single double across ranks (metrics).
+  // Sum-reduces a single double across ranks (metrics), adding the values
+  // in rank order from 0.0. Each scalar op is one rendezvous.
   double allreduce_scalar(int rank, double value, const char* tag = nullptr);
 
-  // Max across ranks.
-  double allreduce_max(int rank, double value, const char* tag = nullptr);
+  // Max across ranks: the max half of allreduce_minmax.
+  double allreduce_max(int rank, double value, const char* tag = nullptr) {
+    return allreduce_minmax(rank, value, tag).second;
+  }
 
-  // Min and max across ranks in a single round — {min, max}. Used by the
-  // cross-rank agreement checks, which would otherwise pay two full
-  // scalar rounds to learn both extremes of the same value.
+  // Min and max across ranks in one rendezvous — {min, max}. Used by the
+  // cross-rank agreement checks, which would otherwise pay two scalar
+  // calls to learn both extremes of the same value.
   std::pair<double, double> allreduce_minmax(int rank, double value,
                                              const char* tag = nullptr);
 
@@ -267,8 +270,6 @@ class Communicator {
     AbortableBarrier(int n, const Communicator* owner)
         : n_(n), owner_(owner), arrived_(static_cast<std::size_t>(n), 0) {}
 
-    // rank < 0 = untracked arrival (legacy barrier(); requires deadlines
-    // off — an untracked waiter cannot be told apart from a hung rank).
     void arrive_and_wait(int rank);
     void abort();
 
@@ -287,22 +288,26 @@ class Communicator {
   };
 
   // One independent collective stream: its own rendezvous barrier, pointer
-  // exchange buffers, scratch, and (PODNET_CHECK) fingerprint verifier.
-  // The main channel and the bucket channel never share any of these, so
-  // a communication thread mid-bucket cannot pair with — or clobber the
-  // verification slots of — the main thread's collectives.
+  // exchange buffers, scratch, one-shot slots, and (PODNET_CHECK)
+  // fingerprint verifier. The main channel and the bucket channel never
+  // share any of these, so a communication thread mid-bucket cannot pair
+  // with — or clobber the slots of — the main thread's collectives.
   struct Channel {
     Channel(int n, const Communicator* owner)
         : barrier(n, owner),
-          bufs(static_cast<std::size_t>(n), nullptr),
-          sizes(static_cast<std::size_t>(n), 0),
-          scalars(static_cast<std::size_t>(n), 0.0) {}
+          bufs(static_cast<std::size_t>(n)),
+          slots(std::make_unique_for_overwrite<float[]>(
+              2 * static_cast<std::size_t>(n) * kOneShotMaxFloats)),
+          parity(static_cast<std::size_t>(n), 0) {}
 
     AbortableBarrier barrier;
-    std::vector<float*> bufs;
-    std::vector<std::size_t> sizes;
-    std::vector<double> scalars;
+    std::vector<std::span<float>> bufs;
     std::vector<float> scratch;
+    // One-shot payloads, two slot sets of kOneShotMaxFloats per rank.
+    // parity[r] picks the set of rank r's next one-shot call; only the
+    // thread driving rank r on this channel flips it.
+    std::unique_ptr<float[]> slots;
+    std::vector<unsigned char> parity;
 #ifdef PODNET_CHECK
     check::CollectiveVerifier verifier;
 #endif
@@ -333,6 +338,19 @@ class Communicator {
                          const char* tag);
 #endif
 
+  // Points the peers at this rank's buffer and passes one rendezvous.
+  void share_buffer(Channel& ch, int rank, std::span<float> data);
+  // Copies the payload into this rank's slot of its current parity, flips
+  // the parity, passes one rendezvous and returns that parity's slot set.
+  const float* publish(Channel& ch, int rank, const void* payload,
+                       std::size_t bytes);
+  // One scalar op (fingerprint detail `detail`): publishes `value` on the
+  // main channel and calls fold(r, value of rank r) in rank order.
+  template <typename Fold>
+  void fold_scalars(int rank, double value, std::int32_t detail,
+                    const char* tag, Fold fold);
+
+  // Runs `alg` on `ch`, applies scripted corruption and records stats.
   void run_allreduce(Channel& ch, int rank, std::span<float> data,
                      AllReduceAlgorithm alg);
   void allreduce_flat(Channel& ch, int rank, std::span<float> data);
@@ -347,12 +365,6 @@ class Communicator {
     StatsCell& cell = stats_[static_cast<std::size_t>(rank)];
     check::ScopedLock lock(cell.mu);
     (cell.data.*field).record(payload_bytes, seconds);
-  }
-  void record_allreduce_stats(int rank, AllReduceAlgorithm alg,
-                              std::uint64_t payload_bytes, double seconds) {
-    StatsCell& cell = stats_[static_cast<std::size_t>(rank)];
-    check::ScopedLock lock(cell.mu);
-    cell.data.allreduce[static_cast<int>(alg)].record(payload_bytes, seconds);
   }
 
   int num_ranks_;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "dist/comm_thread.h"
@@ -354,6 +357,144 @@ TEST(HalvingDoublingTest, NonPowerOfTwoFallsBackToRing) {
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_NEAR(data[0][i], expected[i], 1e-4f);
   }
+}
+
+// The serial reference of kFlat on both of its paths: 0.f + x0 + x1 + ...
+// per element, in rank order.
+std::vector<float> serial_flat_sum(const std::vector<std::vector<float>>& in) {
+  std::vector<float> out(in[0].size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    float acc = 0.f;
+    for (const auto& v : in) acc += v[i];
+    out[i] = acc;
+  }
+  return out;
+}
+
+TEST(FlatAllReduceTest, BothPathsEqualTheSerialSumBitwise) {
+  // kOneShotMaxFloats is the cut-off between the one-rendezvous slot path
+  // and the chunked scratch path; sizes straddle it on both channels.
+  constexpr std::size_t K = Communicator::kOneShotMaxFloats;
+  for (int ranks : {1, 2, 3, 4, 8}) {
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{129}, K,
+                          K + 1, 4 * K}) {
+      for (bool bucket_channel : {false, true}) {
+        auto data = make_inputs(ranks, n);
+        const auto expected = serial_flat_sum(data);
+        Communicator comm(ranks);
+        run_replicas(ranks, [&](int r) {
+          std::span<float> mine = data[static_cast<std::size_t>(r)];
+          if (bucket_channel) {
+            comm.allreduce_sum_bucket(r, mine, AllReduceAlgorithm::kFlat, 0);
+          } else {
+            comm.allreduce_sum(r, mine, AllReduceAlgorithm::kFlat);
+          }
+        });
+        for (int r = 0; r < ranks && n > 0; ++r) {
+          EXPECT_EQ(std::memcmp(data[static_cast<std::size_t>(r)].data(),
+                                expected.data(), n * sizeof(float)),
+                    0)
+              << "ranks " << ranks << " n " << n << " rank " << r
+              << (bucket_channel ? " bucket" : " main") << " channel";
+        }
+      }
+    }
+  }
+}
+
+// Deterministic per-(call, rank, element) payload; three decimals, so sums
+// round and a wrong addition order or a stale slot changes the bits.
+float stress_value(int call, int rank, std::size_t i) {
+  const std::size_t h = static_cast<std::size_t>(call) * 7919u +
+                        static_cast<std::size_t>(rank) * 104729u + i * 613u;
+  return static_cast<float>(h % 20011u) * 1e-3f - 10.f;
+}
+
+TEST(FlatAllReduceTest, BackToBackMixedCollectivesUnderRandomDelays) {
+  // One-shot calls have no trailing rendezvous: a fast rank may publish
+  // call k+1 while a slow rank still reads call k's slots. The slot sets
+  // alternate by call parity so that write never lands in the set being
+  // read; with a single set this test reads stale or future payloads.
+  constexpr std::size_t K = Communicator::kOneShotMaxFloats;
+  constexpr int kRanks = 4;
+  constexpr int kCalls = 300;
+  enum Op { kSmallFlat, kLargeFlat, kScalar, kMinMax, kBroadcast, kNumOps };
+  std::vector<int> ops(kCalls);
+  tensor::Rng op_rng(17);
+  for (int& op : ops) op = static_cast<int>(op_rng.next_below(kNumOps));
+
+  Communicator comm(kRanks);
+  std::atomic<int> failures{0};
+  run_replicas(kRanks, [&](int rank) {
+    tensor::Rng delay_rng(1000 + static_cast<std::uint64_t>(rank));
+    for (int call = 0; call < kCalls; ++call) {
+      const std::uint64_t pause = delay_rng.next_below(4);
+      if (pause == 1) std::this_thread::yield();
+      if (pause == 2) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(delay_rng.next_below(200)));
+      }
+      switch (ops[static_cast<std::size_t>(call)]) {
+        case kSmallFlat:
+        case kLargeFlat: {
+          const std::size_t n =
+              ops[static_cast<std::size_t>(call)] == kSmallFlat
+                  ? 1 + static_cast<std::size_t>(call) % K
+                  : K + 1 + static_cast<std::size_t>(call) % (2 * K);
+          std::vector<float> v(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            v[i] = stress_value(call, rank, i);
+          }
+          comm.allreduce_sum(rank, v, AllReduceAlgorithm::kFlat);
+          for (std::size_t i = 0; i < n; ++i) {
+            float want = 0.f;
+            for (int r = 0; r < kRanks; ++r) want += stress_value(call, r, i);
+            if (std::memcmp(&v[i], &want, sizeof want) != 0) {
+              failures.fetch_add(1);
+              break;
+            }
+          }
+          break;
+        }
+        case kScalar: {
+          const double got = comm.allreduce_scalar(
+              rank, static_cast<double>(stress_value(call, rank, 0)));
+          double want = 0.0;
+          for (int r = 0; r < kRanks; ++r) want += stress_value(call, r, 0);
+          if (got != want) failures.fetch_add(1);
+          break;
+        }
+        case kMinMax: {
+          const auto [lo, hi] = comm.allreduce_minmax(
+              rank, static_cast<double>(stress_value(call, rank, 0)));
+          double want_lo = stress_value(call, 0, 0);
+          double want_hi = want_lo;
+          for (int r = 1; r < kRanks; ++r) {
+            want_lo = std::min<double>(want_lo, stress_value(call, r, 0));
+            want_hi = std::max<double>(want_hi, stress_value(call, r, 0));
+          }
+          if (lo != want_lo || hi != want_hi) failures.fetch_add(1);
+          break;
+        }
+        case kBroadcast: {
+          const int root = call % kRanks;
+          std::vector<float> v(64);
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            v[i] = stress_value(call, rank, i);
+          }
+          comm.broadcast(rank, root, v);
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            if (v[i] != stress_value(call, root, i)) {
+              failures.fetch_add(1);
+              break;
+            }
+          }
+          break;
+        }
+      }
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <latch>
 #include <map>
 #include <numbers>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -330,6 +331,16 @@ TEST(DatasetTest, ImagenetProportions) {
   EXPECT_EQ(c.num_classes, 1000);
   EXPECT_EQ(c.train_size, 1281167);
   EXPECT_EQ(c.eval_size, 50000);
+}
+
+TEST(DatasetTest, FewerThanTwoClassesThrows) {
+  DatasetConfig c = small_config();
+  for (const Index classes : {Index{1}, Index{0}, Index{-3}}) {
+    c.num_classes = classes;
+    EXPECT_THROW(SyntheticImageNet{c}, std::invalid_argument) << classes;
+  }
+  c.num_classes = 2;
+  EXPECT_NO_THROW(SyntheticImageNet{c});
 }
 
 TEST(DatasetTest, ValuesAreFinite) {

@@ -416,10 +416,14 @@ TEST(IrPlanTest, ArenaReusesAndAligns) {
   const MemoryPlan& plan = exec.plan();
   EXPECT_EQ(plan.value_offset[Program::kInputValue], -1);
   for (const std::int64_t off : plan.value_offset) {
-    if (off >= 0) EXPECT_EQ(off % 16, 0);
+    if (off >= 0) {
+      EXPECT_EQ(off % 16, 0);
+    }
   }
   for (const std::int64_t off : plan.scratch_offset) {
-    if (off >= 0) EXPECT_EQ(off % 16, 0);
+    if (off >= 0) {
+      EXPECT_EQ(off % 16, 0);
+    }
   }
   EXPECT_LE(plan.arena_floats, plan.total_floats);
 }
