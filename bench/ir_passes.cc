@@ -2,9 +2,13 @@
 // ir::Executor on EfficientNet eval, one row per pass configuration
 // (no passes / conv+BN fold / fold+fuse+DCE with the planned arena).
 //
-// Reported per row: eval throughput (img/ms) and the peak scratch story —
-// the executor's planned arena bytes and its no-reuse upper bound next to
-// the interpreter's persistent per-layer im2col scratch high-water mark.
+// Reported per row: eval time per image (p10/p50/p90 over interleaved
+// repetitions; ms_per_img is the median) and the peak scratch story — the
+// executor's planned arena bytes and its no-reuse upper bound next to the
+// interpreter's persistent per-layer im2col scratch high-water mark. Every
+// configuration is built and warmed up first; each repetition then times
+// one forward of every configuration in turn, so host drift lands on all
+// of them alike.
 //
 // Modes sharing one binary:
 //   (default)       prints the comparison table for --model (b0);
@@ -17,8 +21,10 @@
 //                   logits track the interpreter and the planned arena
 //                   beats the no-reuse layout;
 //   --model NAME    any effnet::by_name spec (default b0);
+//   --resolution N  input resolution (default: the spec's own);
 //   --batch N       eval batch per timed forward (default 2);
-//   --iters N       timed iterations per configuration (default 3).
+//   --iters N       interleaved repetitions per configuration (default 5).
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -65,7 +71,9 @@ constexpr PassConfig kConfigs[] = {
 
 struct Row {
   std::string name;
-  double ms_per_img = 0;
+  double ms_per_img = 0;  // median repetition
+  double p10_ms_per_img = 0;
+  double p90_ms_per_img = 0;
   double speedup_vs_interp = 1.0;
   std::int64_t arena_bytes = 0;          // 0 for the interpreter row
   std::int64_t no_reuse_bytes = 0;       // ditto
@@ -86,9 +94,19 @@ double max_rel_err(const Tensor& got, const Tensor& want) {
   return worst;
 }
 
+// Value at fraction q of the sorted samples (nearest rank).
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const std::size_t i = static_cast<std::size_t>(
+      q * static_cast<double>(v.size() - 1) + 0.5);
+  return v[i];
+}
+
 std::vector<Row> run_model(const std::string& model_name,
-                           tensor::Index batch, int iters) {
-  const effnet::ModelSpec spec = effnet::by_name(model_name);
+                           tensor::Index resolution, tensor::Index batch,
+                           int iters) {
+  effnet::ModelSpec spec = effnet::by_name(model_name);
+  if (resolution > 0) spec.resolution = resolution;
   effnet::ModelOptions mopts;
   mopts.num_classes = 1000;
   effnet::EfficientNet model(spec, mopts);
@@ -96,42 +114,56 @@ std::vector<Row> run_model(const std::string& model_name,
   const Tensor x =
       Tensor::randn(Shape{batch, spec.resolution, spec.resolution, 3}, rng);
 
-  std::vector<Row> rows;
-  Tensor interp_logits;
-  double interp_ms = 0;
-  std::int64_t interp_scratch = 0;
-
-  for (const PassConfig& cfg : kConfigs) {
+  struct Config {
     Row row;
-    row.name = std::string(model_name) + "_eval_" + cfg.name;
-
     ir::Program prog;
     std::unique_ptr<ir::Executor> exec;
+    Tensor logits;
+    std::vector<double> ms_per_img;
+  };
+  std::vector<Config> configs(std::size(kConfigs));
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const PassConfig& cfg = kConfigs[c];
+    Config& k = configs[c];
+    k.row.name = std::string(model_name) + "_eval_" + cfg.name;
     if (cfg.use_ir) {
       const double l0 = now_s();
-      prog = nn::lower_to_program(model);
-      ir::run_passes(prog, cfg.opts);
-      row.lower_pass_us = 1e6 * (now_s() - l0);
-      exec = std::make_unique<ir::Executor>(prog);
+      k.prog = nn::lower_to_program(model);
+      ir::run_passes(k.prog, cfg.opts);
+      k.row.lower_pass_us = 1e6 * (now_s() - l0);
+      k.exec = std::make_unique<ir::Executor>(k.prog);
     }
-    const auto forward = [&] {
-      return exec ? exec->run(x) : model.forward(x, /*training=*/false);
-    };
+  }
+  const auto forward = [&](Config& k) {
+    k.logits = k.exec ? k.exec->run(x) : model.forward(x, /*training=*/false);
+  };
+  // Warm-up: binds the arenas, grows the interpreter scratch and the pack
+  // buffers, and brings every configuration's weights through the cache.
+  for (int w = 0; w < 2; ++w) {
+    for (Config& k : configs) forward(k);
+  }
+  for (int i = 0; i < iters; ++i) {
+    for (Config& k : configs) {
+      const double t0 = now_s();
+      forward(k);
+      k.ms_per_img.push_back(1e3 * (now_s() - t0) /
+                             static_cast<double>(batch));
+    }
+  }
 
-    Tensor logits = forward();  // warm-up: binds the arena / grows scratch
-    const double t0 = now_s();
-    for (int i = 0; i < iters; ++i) logits = forward();
-    const double elapsed = now_s() - t0;
-    row.ms_per_img =
-        1e3 * elapsed / (static_cast<double>(iters) *
-                         static_cast<double>(batch));
-
-    if (cfg.use_ir) {
-      row.arena_bytes = exec->stats().arena_bytes;
-      row.no_reuse_bytes = exec->stats().no_reuse_bytes;
-      row.speedup_vs_interp = interp_ms / row.ms_per_img;
-      row.max_rel_err = max_rel_err(logits, interp_logits);
-      row.interp_scratch_bytes = interp_scratch;
+  const Config& interp = configs.front();
+  std::vector<Row> rows;
+  for (Config& k : configs) {
+    Row& row = k.row;
+    row.ms_per_img = quantile(k.ms_per_img, 0.5);
+    row.p10_ms_per_img = quantile(k.ms_per_img, 0.1);
+    row.p90_ms_per_img = quantile(k.ms_per_img, 0.9);
+    row.interp_scratch_bytes = model.scratch_bytes();
+    if (k.exec) {
+      row.arena_bytes = k.exec->stats().arena_bytes;
+      row.no_reuse_bytes = k.exec->stats().no_reuse_bytes;
+      row.speedup_vs_interp = interp.row.ms_per_img / row.ms_per_img;
+      row.max_rel_err = max_rel_err(k.logits, interp.logits);
       // Cost of the recurring structural gate, re-run standalone against
       // the executor's bound plan: SSA/attribute verification, shape
       // inference, the per-op scratch table, and plan certification.
@@ -141,17 +173,12 @@ std::vector<Row> run_model(const std::string& model_name,
       // construction, so it is deliberately outside this column.
       // Budget: analysis_us < 5% of lower_pass_us.
       const double a0 = now_s();
-      ir::verify(prog);
-      const std::vector<Shape> shapes = ir::infer_shapes(prog, x.shape());
-      const std::vector<std::int64_t> scratch =
-          ir::op_scratch_floats(prog, shapes, ir::default_conv_strategy());
-      ir::certify_plan(prog, shapes, scratch, exec->plan());
+      ir::verify(k.prog);
+      const std::vector<Shape> shapes = ir::infer_shapes(k.prog, x.shape());
+      const std::vector<std::int64_t> scratch = ir::op_scratch_floats(
+          k.prog, shapes, ir::default_conv_strategy());
+      ir::certify_plan(k.prog, shapes, scratch, k.exec->plan());
       row.analysis_us = 1e6 * (now_s() - a0);
-    } else {
-      interp_ms = row.ms_per_img;
-      interp_scratch = model.scratch_bytes();
-      row.interp_scratch_bytes = interp_scratch;
-      interp_logits = std::move(logits);
     }
     rows.push_back(std::move(row));
   }
@@ -159,12 +186,15 @@ std::vector<Row> run_model(const std::string& model_name,
 }
 
 void print_rows(const std::vector<Row>& rows) {
-  std::printf("%-28s %10s %8s %14s %14s %10s %12s %12s\n", "config",
-              "ms/img", "speedup", "arena_bytes", "no_reuse", "max_rel",
-              "lower_us", "analysis_us");
+  std::printf("%-28s %10s %10s %10s %8s %14s %14s %10s %12s %12s\n",
+              "config", "p10 ms/img", "p50 ms/img", "p90 ms/img", "speedup",
+              "arena_bytes", "no_reuse", "max_rel", "lower_us",
+              "analysis_us");
   for (const Row& r : rows) {
-    std::printf("%-28s %10.3f %7.2fx %14lld %14lld %10.2e %12.1f %12.1f\n",
-                r.name.c_str(), r.ms_per_img, r.speedup_vs_interp,
+    std::printf("%-28s %10.3f %10.3f %10.3f %7.2fx %14lld %14lld %10.2e "
+                "%12.1f %12.1f\n",
+                r.name.c_str(), r.p10_ms_per_img, r.ms_per_img,
+                r.p90_ms_per_img, r.speedup_vs_interp,
                 static_cast<long long>(r.arena_bytes),
                 static_cast<long long>(r.no_reuse_bytes), r.max_rel_err,
                 r.lower_pass_us, r.analysis_us);
@@ -184,6 +214,8 @@ int append_json(const std::vector<Row>& rows, const std::string& path) {
     w.field("kind", "ir_bench")
         .field("name", r.name)
         .field("ms_per_img", r.ms_per_img)
+        .field("p10_ms_per_img", r.p10_ms_per_img)
+        .field("p90_ms_per_img", r.p90_ms_per_img)
         .field("img_per_ms", r.ms_per_img > 0 ? 1.0 / r.ms_per_img : 0.0)
         .field("speedup_vs_interp", r.speedup_vs_interp)
         .field("arena_bytes", r.arena_bytes)
@@ -209,7 +241,7 @@ int append_json(const std::vector<Row>& rows, const std::string& path) {
 // --smoke: pico-sized correctness gate — parity with the interpreter and
 // a real arena-reuse win, independent of host speed.
 int run_smoke() {
-  const std::vector<Row> rows = run_model("pico", 4, 2);
+  const std::vector<Row> rows = run_model("pico", 0, 4, 2);
   int failures = 0;
   for (const Row& r : rows) {
     if (r.name.find("interp") != std::string::npos) continue;
@@ -240,8 +272,9 @@ int run_smoke() {
 int main(int argc, char** argv) {
   std::string json_path;
   std::string model_name = "b0";
+  tensor::Index resolution = 0;
   tensor::Index batch = 2;
-  int iters = 3;
+  int iters = 5;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -251,6 +284,8 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (arg == "--model" && i + 1 < argc) {
       model_name = argv[++i];
+    } else if (arg == "--resolution" && i + 1 < argc) {
+      resolution = static_cast<tensor::Index>(std::atoll(argv[++i]));
     } else if (arg == "--batch" && i + 1 < argc) {
       batch = static_cast<tensor::Index>(std::atoll(argv[++i]));
     } else if (arg == "--iters" && i + 1 < argc) {
@@ -258,14 +293,18 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--json PATH] [--model NAME] "
-                   "[--batch N] [--iters N]\n",
+                   "[--resolution N] [--batch N] [--iters N]\n",
                    argv[0]);
       return 2;
     }
   }
   if (smoke) return run_smoke();
 
-  const std::vector<Row> rows = run_model(model_name, batch, iters);
+  if (iters < 1 || batch < 1) {
+    std::fprintf(stderr, "--iters and --batch must be at least 1\n");
+    return 2;
+  }
+  const std::vector<Row> rows = run_model(model_name, resolution, batch, iters);
   print_rows(rows);
   if (!json_path.empty()) return append_json(rows, json_path);
   return 0;

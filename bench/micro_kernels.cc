@@ -283,6 +283,67 @@ std::vector<CmpKernel> make_cmp_kernels() {
                   }});
   }
 
+  // The compiled-IR eval workload's hot shapes (nano at 32 px, batch 8):
+  // a 1x1 conv lowered to one GEMM (2048 pixel rows, 16 -> 8 channels)
+  // with a fused bias+swish tail, the 3x3 stride-2 stem through the direct
+  // kernel, and a depthwise 3x3 with its in-kernel tail.
+  {
+    const std::int64_t m = 8 * 16 * 16, k = 16, n = 8;
+    Rng rng(18);
+    auto a = std::make_shared<Tensor>(Tensor::randn(Shape{m, k}, rng));
+    auto b = std::make_shared<Tensor>(Tensor::randn(Shape{k, n}, rng));
+    auto bias = std::make_shared<Tensor>(Tensor::randn(Shape{n}, rng));
+    auto c = std::make_shared<Tensor>(Shape{m, n});
+    // One pack per level, made on first use under that level, as the
+    // executor packs once per program.
+    auto packs = std::make_shared<std::map<int, tensor::PackedB>>();
+    ks.push_back({"eval_pw1x1_2048x16to8_swish",
+                  2.0 * static_cast<double>(m) * n * k, [=] {
+                    const int level = static_cast<int>(simd::active_level());
+                    if (packs->count(level) == 0) {
+                      (*packs)[level] =
+                          tensor::pack_b(false, k, n, b->data(), n);
+                    }
+                    tensor::GemmEpilogue epi;
+                    epi.act = tensor::GemmEpilogue::Act::kSwish;
+                    epi.bias = bias->data();
+                    tensor::gemm_prepacked(false, m, n, k, 1.f, a->data(), k,
+                                           packs->at(level), 0.f, c->data(),
+                                           n, epi);
+                    benchmark::DoNotOptimize(c->data());
+                  }});
+  }
+  {
+    const auto g = tensor::ConvGeometry::same(8, 32, 32, 3, 3, 2);
+    Rng rng(19);
+    auto x = std::make_shared<Tensor>(Tensor::randn(Shape{8, 32, 32, 3}, rng));
+    auto w = std::make_shared<Tensor>(Tensor::randn(Shape{3, 3, 3, 16}, rng));
+    auto b = std::make_shared<Tensor>(Tensor::randn(Shape{16}, rng));
+    auto y = std::make_shared<Tensor>(Shape{8, g.out_h, g.out_w, 16});
+    const double flops =
+        2.0 * static_cast<double>(8 * g.out_h * g.out_w) * 9 * 3 * 16;
+    ks.push_back({"eval_stem3x3_s2_3to16_32px", flops, [=] {
+                    tensor::conv::conv2d_direct(
+                        g, 16, x->data(), w->data(), b->data(),
+                        tensor::conv::Epilogue::kBiasSwish, y->data());
+                    benchmark::DoNotOptimize(y->data());
+                  }});
+  }
+  {
+    const auto g = tensor::ConvGeometry::same(8, 16, 16, 16, 3, 1);
+    Rng rng(20);
+    auto x = std::make_shared<Tensor>(Tensor::randn(Shape{8, 16, 16, 16}, rng));
+    auto w = std::make_shared<Tensor>(Tensor::randn(Shape{3, 3, 16}, rng));
+    auto b = std::make_shared<Tensor>(Tensor::randn(Shape{16}, rng));
+    auto y = std::make_shared<Tensor>(Shape{8, 16, 16, 16});
+    const double flops = 2.0 * 8 * 16 * 16 * 9 * 16;
+    ks.push_back({"eval_dw3x3_16x16x16_swish", flops, [=] {
+                    tensor::conv::depthwise_forward(
+                        g, x->data(), w->data(), b->data(),
+                        tensor::conv::Epilogue::kBiasSwish, y->data());
+                    benchmark::DoNotOptimize(y->data());
+                  }});
+  }
   const std::size_t kVec = std::size_t{1} << 14;  // 64 KiB: L1/L2 resident
   Rng vrng(14);
   auto vx = std::make_shared<std::vector<float>>(kVec);

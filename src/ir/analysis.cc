@@ -514,12 +514,6 @@ std::vector<std::int64_t> op_scratch_floats(const Program& p,
         scratch[i] = g.out_h * g.out_w * g.col_cols();  // one image's col
         break;
       }
-      case OpKind::kDepthwiseConv2D:
-      case OpKind::kDense:
-      case OpKind::kGemm:
-        // Span-applied swish tail needs its sigmoid buffer.
-        if (op.act == Act::kSwish) scratch[i] = out.numel();
-        break;
       case OpKind::kBatchNorm:
         scratch[i] = 2 * op.in_c;  // scale + shift
         break;
@@ -528,10 +522,14 @@ std::vector<std::int64_t> op_scratch_floats(const Program& p,
         break;
       case OpKind::kSqueezeExcite: {
         const Index n = in[0];
-        // squeezed [N,C] + gate [N,C] + reduced [N,se_c] + its sigmoid.
-        scratch[i] = 2 * n * op.in_c + 2 * n * op.se_c;
+        // squeezed [N,C] + gate [N,C] + reduced [N,se_c].
+        scratch[i] = 2 * n * op.in_c + n * op.se_c;
         break;
       }
+      // Their bias + activation tails run in the kernels' registers.
+      case OpKind::kDepthwiseConv2D:
+      case OpKind::kDense:
+      case OpKind::kGemm:
       case OpKind::kRelu:
       case OpKind::kSigmoid:
       case OpKind::kAdd:

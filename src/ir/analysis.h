@@ -156,8 +156,8 @@ ConvStrategyFn default_conv_strategy();
 
 // Per-op private scratch need in floats (0 = none), for the lowering
 // strategy each op will actually take: one image's im2col column block
-// for non-direct convs, the sigmoid buffer for swish tails, BN's
-// scale+shift pair, and squeeze-excite's four temporaries. Both the
+// for non-direct convs, the sigmoid buffer of a standalone swish, BN's
+// scale+shift pair, and squeeze-excite's three temporaries. Both the
 // executor's bind and the plan certifier derive from this one table.
 std::vector<std::int64_t> op_scratch_floats(const Program& p,
                                             const std::vector<Shape>& shapes,

@@ -24,10 +24,10 @@ using tensor::ConvGeometry;
                               ") has no " + what);
 }
 
-// Register-epilogue selection for the direct conv kernel. kBias* variants
-// accept a null bias pointer, so a fused activation without a bias still
-// maps onto them.
-tensor::conv::Epilogue direct_epilogue(const Op& op) {
+// The op's register epilogue (conv_direct, depthwise, and through
+// conv::gemm_epilogue the GEMM tail). kBias* variants accept a null bias
+// pointer, so a fused activation without a bias still maps onto them.
+tensor::conv::Epilogue op_epilogue(const Op& op) {
   switch (op.act) {
     case Act::kSwish:
       return tensor::conv::Epilogue::kBiasSwish;
@@ -40,46 +40,19 @@ tensor::conv::Epilogue direct_epilogue(const Op& op) {
                      : tensor::conv::Epilogue::kNone;
 }
 
-tensor::GemmEpilogue gemm_epilogue(const Op& op) {
-  tensor::GemmEpilogue e;
-  e.bias = (op.has_bias && op.bias != nullptr) ? op.bias->data() : nullptr;
-  switch (op.act) {
-    case Act::kSwish:
-      e.act = tensor::GemmEpilogue::Act::kSwish;
-      break;
-    case Act::kRelu:
-      e.act = tensor::GemmEpilogue::Act::kRelu;
-      break;
-    case Act::kNone:
-      e.act = tensor::GemmEpilogue::Act::kNone;
-      break;
-  }
-  return e;
+// The op's bias values, or null (a verified program has a bias tensor
+// exactly when has_bias is set).
+const float* op_bias(const Op& op) {
+  return op.bias != nullptr ? op.bias->data() : nullptr;
 }
 
-bool wants_gemm_epilogue(const Op& op) {
-  return op.act != Act::kNone || (op.has_bias && op.bias != nullptr);
-}
-
-// Bias + activation tail applied with the same span kernels the layer
-// interpreter uses (nn::Conv2D::add_bias row loop; nn::Swish / nn::ReLU),
-// so un-fused and span-fused results are bitwise identical. `sig` must
-// hold rows*cols floats when the act is swish.
-void apply_span_tail(const Op& op, float* y, Index rows, Index cols,
-                     float* sig) {
-  if (op.has_bias && op.bias != nullptr) {
-    const auto b = op.bias->span();
-    for (Index r = 0; r < rows; ++r) {
-      tensor::add_inplace(b,
-                          {y + r * cols, static_cast<std::size_t>(cols)});
-    }
-  }
-  const std::size_t n = static_cast<std::size_t>(rows * cols);
-  if (op.act == Act::kSwish) {
-    tensor::swish({y, n}, {sig, n}, {y, n});
-  } else if (op.act == Act::kRelu) {
-    tensor::relu({y, n}, {y, n});
-  }
+// C = x * packed, with the op's bias + activation tail (if any) in the
+// GEMM microkernel's registers.
+void gemm_with_tail(const Op& op, Index rows, Index k, const float* x,
+                    const tensor::PackedB& packed, float* y) {
+  tensor::gemm_prepacked(
+      false, rows, op.out_c, k, 1.f, x, k, packed, 0.f, y, op.out_c,
+      tensor::conv::gemm_epilogue(op_epilogue(op), op_bias(op)));
 }
 
 }  // namespace
@@ -88,21 +61,25 @@ Executor::Executor(const Program& p) : prog_(&p) {
   PODNET_IR_VERIFY(p);
   const auto& ops = p.ops();
   packed_.resize(ops.size());
+  // Pack every weight matrix once; the recorded panel layout stays valid
+  // across simd-level flips, and every bind/run reuses it.
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Op& op = ops[i];
     switch (op.kind) {
       case OpKind::kConv2D: {
         if (op.weight == nullptr) missing_tensor(op, "weight");
-        // Pack once; the recorded panel layout stays valid across
-        // simd-level flips, and every bind/run reuses it.
         const Index k = op.kernel * op.kernel * op.in_c;
-        packed_[i] = tensor::pack_b(false, k, op.out_c, op.weight->data(),
-                                    op.out_c);
+        packed_[i].w = tensor::pack_b(false, k, op.out_c, op.weight->data(),
+                                      op.out_c);
         break;
       }
-      case OpKind::kDepthwiseConv2D:
       case OpKind::kGemm:
       case OpKind::kDense:
+        if (op.weight == nullptr) missing_tensor(op, "weight");
+        packed_[i].w = tensor::pack_b(false, op.in_c, op.out_c,
+                                      op.weight->data(), op.out_c);
+        break;
+      case OpKind::kDepthwiseConv2D:
         if (op.weight == nullptr) missing_tensor(op, "weight");
         break;
       case OpKind::kBatchNorm:
@@ -110,6 +87,10 @@ Executor::Executor(const Program& p) : prog_(&p) {
         break;
       case OpKind::kSqueezeExcite:
         if (op.se_w1 == nullptr) missing_tensor(op, "squeeze-excite weights");
+        packed_[i].w = tensor::pack_b(false, op.in_c, op.se_c,
+                                      op.se_w1->data(), op.se_c);
+        packed_[i].w2 = tensor::pack_b(false, op.se_c, op.in_c,
+                                       op.se_w2->data(), op.in_c);
         break;
       case OpKind::kSwish:
       case OpKind::kRelu:
@@ -207,34 +188,18 @@ Tensor Executor::run(const Tensor& input) {
         const Index m_img = g.out_h * g.out_w;
         if (op.kernel == 1 && op.stride == 1) {
           // One GEMM over all N*H*W pixel rows, as in nn::Conv2D.
-          if (wants_gemm_epilogue(op)) {
-            tensor::gemm_prepacked(false, g.col_rows(), op.out_c, k, 1.f, x,
-                                   k, packed_[i], 0.f, y, op.out_c,
-                                   gemm_epilogue(op));
-          } else {
-            tensor::gemm_prepacked(false, g.col_rows(), op.out_c, k, 1.f, x,
-                                   k, packed_[i], 0.f, y, op.out_c);
-          }
+          gemm_with_tail(op, g.col_rows(), k, x, packed_[i].w, y);
         } else if (conv_goes_direct(op, g)) {
-          tensor::conv::conv2d_direct(
-              g, op.out_c, x, op.weight->data(),
-              op.bias != nullptr ? op.bias->data() : nullptr,
-              direct_epilogue(op), y);
+          tensor::conv::conv2d_direct(g, op.out_c, x, op.weight->data(),
+                                      op_bias(op), op_epilogue(op), y);
         } else {
           ConvGeometry g1 = g;
           g1.batch = 1;
           const Index in_img = g.in_h * g.in_w * g.in_c;
           for (Index n = 0; n < g.batch; ++n) {
             tensor::im2col(g1, x + n * in_img, scr);
-            if (wants_gemm_epilogue(op)) {
-              tensor::gemm_prepacked(false, m_img, op.out_c, k, 1.f, scr, k,
-                                     packed_[i], 0.f, y + n * m_img * op.out_c,
-                                     op.out_c, gemm_epilogue(op));
-            } else {
-              tensor::gemm_prepacked(false, m_img, op.out_c, k, 1.f, scr, k,
-                                     packed_[i], 0.f, y + n * m_img * op.out_c,
-                                     op.out_c);
-            }
+            gemm_with_tail(op, m_img, k, scr, packed_[i].w,
+                           y + n * m_img * op.out_c);
           }
         }
         break;
@@ -242,8 +207,8 @@ Tensor Executor::run(const Tensor& input) {
 
       case OpKind::kDepthwiseConv2D: {
         const ConvGeometry g = conv_geometry(op, in);
-        tensor::conv::depthwise_forward(g, x, op.weight->data(), y);
-        apply_span_tail(op, y, g.col_rows(), op.in_c, scr);
+        tensor::conv::depthwise_forward(g, x, op.weight->data(), op_bias(op),
+                                        op_epilogue(op), y);
         break;
       }
 
@@ -286,7 +251,8 @@ Tensor Executor::run(const Tensor& input) {
 
       case OpKind::kSqueezeExcite: {
         // Mirrors nn::SqueezeExcite::forward's kernel sequence: gap ->
-        // dense+bias -> swish -> dense+bias -> sigmoid -> channel gate.
+        // dense+bias -> swish -> dense+bias -> sigmoid -> channel gate,
+        // with both bias adds and the swish in the GEMM tails.
         const Index n = in[0];
         const Index hw = in[1] * in[2];
         const Index c = op.in_c;
@@ -294,7 +260,6 @@ Tensor Executor::run(const Tensor& input) {
         float* squeezed = scr;               // [N, C]
         float* gate = scr + n * c;           // [N, C]
         float* reduced = gate + n * c;       // [N, se_c]
-        float* sig = reduced + n * sc;       // [N, se_c]
 
         std::memset(squeezed, 0, static_cast<std::size_t>(n * c) *
                                      sizeof(float));
@@ -309,23 +274,15 @@ Tensor Executor::run(const Tensor& input) {
           for (Index j = 0; j < c; ++j) row[j] *= inv;
         }
 
-        tensor::gemm_contiguous(false, false, n, sc, c, 1.f, squeezed,
-                                op.se_w1->data(), 0.f, reduced);
-        const auto b1 = op.se_b1->span();
-        for (Index r = 0; r < n; ++r) {
-          tensor::add_inplace(
-              b1, {reduced + r * sc, static_cast<std::size_t>(sc)});
-        }
-        const std::size_t nr = static_cast<std::size_t>(n * sc);
-        tensor::swish({reduced, nr}, {sig, nr}, {reduced, nr});
-
-        tensor::gemm_contiguous(false, false, n, c, sc, 1.f, reduced,
-                                op.se_w2->data(), 0.f, gate);
-        const auto b2 = op.se_b2->span();
-        for (Index r = 0; r < n; ++r) {
-          tensor::add_inplace(b2,
-                              {gate + r * c, static_cast<std::size_t>(c)});
-        }
+        tensor::GemmEpilogue reduce_tail;
+        reduce_tail.bias = op.se_b1->data();
+        reduce_tail.act = tensor::GemmEpilogue::Act::kSwish;
+        tensor::gemm_prepacked(false, n, sc, c, 1.f, squeezed, c,
+                               packed_[i].w, 0.f, reduced, sc, reduce_tail);
+        tensor::GemmEpilogue expand_tail;
+        expand_tail.bias = op.se_b2->data();
+        tensor::gemm_prepacked(false, n, c, sc, 1.f, reduced, sc,
+                               packed_[i].w2, 0.f, gate, c, expand_tail);
         const std::size_t ng = static_cast<std::size_t>(n * c);
         tensor::sigmoid({gate, ng}, {gate, ng});
 
@@ -371,12 +328,9 @@ Tensor Executor::run(const Tensor& input) {
 
       case OpKind::kDense:
       case OpKind::kGemm: {
-        // nn::Dense uses the contiguous (pack-per-call) gemm; matching it
-        // keeps the no-pass path bitwise identical.
-        const Index rows = in[0];
-        tensor::gemm_contiguous(false, false, rows, op.out_c, op.in_c, 1.f, x,
-                                op.weight->data(), 0.f, y);
-        apply_span_tail(op, y, rows, op.out_c, scr);
+        // The same pack_b panels and microkernel as nn::Dense's
+        // gemm_contiguous, so the no-pass path stays bitwise identical.
+        gemm_with_tail(op, in[0], op.in_c, x, packed_[i].w, y);
         break;
       }
 

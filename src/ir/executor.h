@@ -1,21 +1,26 @@
 // Executor: runs a Program against the existing tensor/SIMD kernels.
 //
-// Construction packs every convolution's weight matrix once (PackedB) and
-// validates that the program carries real parameter tensors. The first
+// Construction packs every weight matrix once (PackedB: convs, dense and
+// GEMM ops, squeeze-excite's two matrices) and validates that the program
+// carries real parameter tensors. The first
 // run() — and any run at a new input shape or conv-mode override — binds
 // the program: shapes are inferred, per-op scratch needs are computed for
 // the lowering strategy each conv will actually take, and ir/plan.h lays
 // out one first-fit arena for every intermediate value and scratch block.
 // Steady-state inference then allocates nothing but the output tensor.
 //
-// Kernel parity: with no passes applied, the executor calls the exact
-// kernel sequence nn's layer interpreter uses at inference — the same
-// three conv lowering strategies (1x1-stride-1 single GEMM, conv_direct
-// for register-friendly shapes, per-image im2col+GEMM), gemm_contiguous
-// for dense layers, and the shared span activations — so results are
-// bitwise identical. With fold/fuse applied, fused tails run through the
-// conv_direct register epilogue or the tensor::GemmEpilogue tile hook and
-// results agree within the ULP tolerance the parity tests bound.
+// Kernel parity: with no passes applied, the executor runs the kernels
+// nn's layer interpreter uses at inference — the same three conv lowering
+// strategies (1x1-stride-1 single GEMM, conv_direct for register-friendly
+// shapes, per-image im2col+GEMM), dense layers and squeeze-excite through
+// the same B panels and microkernel as gemm_contiguous, and the span
+// activations — so results are bitwise identical. Bias adds and fused
+// activations run in the kernels' register epilogues (conv_direct,
+// depthwise, tensor::GemmEpilogue), which perform the span kernels' float
+// operations: bitwise the same at the scalar and AVX-512 levels, within
+// the parity tests' ULP bound at AVX2. A PackedB keeps the layout of the
+// level it was packed under, so after a level flip the GEMMs still run
+// that level's microkernel.
 //
 // Threading: run() must be called from one thread at a time (the GEMMs'
 // per-thread pack-buffer contract); different Executors on different
@@ -64,8 +69,16 @@ class Executor {
   void bind(const Shape& input);
   bool conv_goes_direct(const Op& op, const tensor::ConvGeometry& g) const;
 
+  // Per op, packed at construction: the weight matrix of a conv, dense or
+  // GEMM op in `w`; squeeze-excite's reduce matrix in `w`, its expand
+  // matrix in `w2`. Invalid for every other op.
+  struct Packed {
+    tensor::PackedB w;
+    tensor::PackedB w2;
+  };
+
   const Program* prog_;
-  std::vector<tensor::PackedB> packed_;  // per op; valid() only for convs
+  std::vector<Packed> packed_;
   std::vector<bool> finite_check_;  // per op; assert_finite points (CHECK)
 
   Shape bound_input_;

@@ -26,10 +26,12 @@ std::atomic<Mode>& mode_slot() {
 constexpr std::int64_t kParallelFlops = std::int64_t{1} << 22;
 
 void scalar_depthwise_forward_rows(const ConvGeometry& g, const float* x,
-                                   const float* w, float* y,
+                                   const float* w, const float* bias,
+                                   Epilogue epilogue, float* y,
                                    std::int64_t row0, std::int64_t row1) {
   const std::int64_t C = g.in_c;
   const std::int64_t K = g.kernel_h;
+  const GemmEpilogue epi = gemm_epilogue(epilogue, bias);
   for (std::int64_t row = row0; row < row1; ++row) {
     const std::int64_t n = row / g.out_h;
     const std::int64_t oh = row % g.out_h;
@@ -51,6 +53,13 @@ void scalar_depthwise_forward_rows(const ConvGeometry& g, const float* x,
           for (std::int64_t kw = kw_lo; kw < kw_hi; ++kw) {
             acc += in_row[kw * C + c] * w_row[kw * C + c];
           }
+        }
+        // The scalar add_inplace / swish / relu element operations.
+        if (epi.bias != nullptr) acc += epi.bias[c];
+        if (epi.act == GemmEpilogue::Act::kSwish) {
+          acc = acc * (1.0f / (1.0f + std::exp(-acc)));
+        } else if (epi.act == GemmEpilogue::Act::kRelu) {
+          acc = acc > 0.f ? acc : 0.f;
         }
         out[c] = acc;
       }
@@ -200,6 +209,11 @@ void conv2d_direct(const ConvGeometry& g, std::int64_t out_c, const float* x,
 
 void depthwise_forward(const ConvGeometry& g, const float* x, const float* w,
                        float* y) {
+  depthwise_forward(g, x, w, nullptr, Epilogue::kNone, y);
+}
+
+void depthwise_forward(const ConvGeometry& g, const float* x, const float* w,
+                       const float* bias, Epilogue epilogue, float* y) {
   assert(g.kernel_h == g.kernel_w && g.kernel_h <= 7);
   const std::int64_t flops_per_row =
       2 * g.out_w * g.in_c * g.kernel_h * g.kernel_w;
@@ -208,7 +222,7 @@ void depthwise_forward(const ConvGeometry& g, const float* x, const float* w,
 #if defined(PODNET_HAVE_AVX512)
   if (level == simd::Level::kAvx512) {
     run_rows(g, flops_per_row, [&](std::int64_t r0, std::int64_t r1) {
-      avx512::depthwise_forward_rows(g, x, w, y, r0, r1);
+      avx512::depthwise_forward_rows(g, x, w, bias, epilogue, y, r0, r1);
     });
     return;
   }
@@ -216,13 +230,13 @@ void depthwise_forward(const ConvGeometry& g, const float* x, const float* w,
 #if defined(PODNET_HAVE_AVX2)
   if (level >= simd::Level::kAvx2) {
     run_rows(g, flops_per_row, [&](std::int64_t r0, std::int64_t r1) {
-      avx2::depthwise_forward_rows(g, x, w, y, r0, r1);
+      avx2::depthwise_forward_rows(g, x, w, bias, epilogue, y, r0, r1);
     });
     return;
   }
 #endif
   run_rows(g, flops_per_row, [&](std::int64_t r0, std::int64_t r1) {
-    scalar_depthwise_forward_rows(g, x, w, y, r0, r1);
+    scalar_depthwise_forward_rows(g, x, w, bias, epilogue, y, r0, r1);
   });
 }
 

@@ -8,13 +8,15 @@
 //   * depthwise_forward / depthwise_backward — register-tiled depthwise
 //     convolution. The forward keeps a per-channel-block accumulator in
 //     registers across all KhxKw taps (one store per output vector instead
-//     of one load+store per tap); the backward holds a kernel row of dW
-//     accumulators in registers across the whole image.
-//   * conv2d_direct — standard convolution for small-in_c stages: per
-//     output pixel the full out_c accumulator block stays in registers
-//     while the Kh x Kw x in_c taps stream by (HWIO weights make the out_c
-//     axis contiguous), with an optional fused bias / bias+swish tail
-//     applied while the tile is still hot.
+//     of one load+store per tap), with an optional bias + activation
+//     applied to it before the store; the backward holds a kernel row of
+//     dW accumulators in registers across the whole image.
+//   * conv2d_direct — standard convolution for small-in_c stages: the
+//     out_c accumulator block of several adjacent interior output pixels
+//     (one pixel at the borders) stays in registers while the
+//     Kh x Kw x in_c taps stream by, each tap's weight vectors (HWIO makes
+//     the out_c axis contiguous) shared by the pixels, with an optional
+//     fused bias / bias+activation tail applied while the tile is hot.
 //
 // Each entry point dispatches once per call between the scalar reference
 // (this file's .cc), AVX2, and AVX-512 kernels via simd::active_level().
@@ -25,6 +27,7 @@
 
 #include <cstdint>
 
+#include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/simd.h"
 
@@ -78,11 +81,28 @@ void conv2d_direct(const ConvGeometry& g, std::int64_t out_c, const float* x,
 void depthwise_forward(const ConvGeometry& g, const float* x, const float* w,
                        float* y);
 
+// Depthwise forward with the epilogue applied inside each output row's
+// task (same bias/activation contract as conv2d_direct). Bitwise what
+// depthwise_forward followed by the row-wise add_inplace and the span
+// swish / relu produce.
+void depthwise_forward(const ConvGeometry& g, const float* x, const float* w,
+                       const float* bias, Epilogue epilogue, float* y);
+
 // Depthwise backward: accumulates dW += x (*) g and dx += w (*) g. The
 // caller provides dx zero-initialized; dw follows the Param::grad
 // accumulate-across-calls contract.
 void depthwise_backward(const ConvGeometry& g, const float* x, const float* w,
                         const float* grad_out, float* dx, float* dw);
+
+// An Epilogue as the GEMM tail the kernels apply: kBias* add `bias` when
+// it is non-null, then the activation.
+inline GemmEpilogue gemm_epilogue(Epilogue epilogue, const float* bias) {
+  GemmEpilogue e;
+  e.bias = epilogue == Epilogue::kNone ? nullptr : bias;
+  if (epilogue == Epilogue::kBiasSwish) e.act = GemmEpilogue::Act::kSwish;
+  if (epilogue == Epilogue::kBiasRelu) e.act = GemmEpilogue::Act::kRelu;
+  return e;
+}
 
 // Per-level kernels (simd_avx2.cc / simd_avx512.cc). The forward kernels
 // take an output-row range [row0, row1) over the N*OH rows so the
@@ -95,7 +115,8 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
                         Epilogue epilogue, float* y, std::int64_t row0,
                         std::int64_t row1);
 void depthwise_forward_rows(const ConvGeometry& g, const float* x,
-                            const float* w, float* y, std::int64_t row0,
+                            const float* w, const float* bias,
+                            Epilogue epilogue, float* y, std::int64_t row0,
                             std::int64_t row1);
 void depthwise_backward(const ConvGeometry& g, const float* x, const float* w,
                         const float* grad_out, float* dx, float* dw);
@@ -109,7 +130,8 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
                         Epilogue epilogue, float* y, std::int64_t row0,
                         std::int64_t row1);
 void depthwise_forward_rows(const ConvGeometry& g, const float* x,
-                            const float* w, float* y, std::int64_t row0,
+                            const float* w, const float* bias,
+                            Epilogue epilogue, float* y, std::int64_t row0,
                             std::int64_t row1);
 void depthwise_backward(const ConvGeometry& g, const float* x, const float* w,
                         const float* grad_out, float* dx, float* dw);

@@ -144,9 +144,9 @@ void run_tiles(std::int64_t m, std::int64_t n_units, std::int64_t flops,
 }
 
 // Applies a fused epilogue to the C tile rows [r0, r1) x columns [c0, c1)
-// via the shared span kernels. The bias add is elementwise, so the tile
-// segmentation cannot change its result; the activations differ from a
-// whole-row application only at SIMD/scalar segment boundaries (ULP-level).
+// via the shared span kernels: the scalar driver's tail and the alpha == 0
+// path. The SIMD tile kernels apply the same float operations in
+// registers instead (simd.h gemm_tile).
 void apply_epilogue(const GemmEpilogue& e, std::int64_t r0, std::int64_t r1,
                     std::int64_t c0, std::int64_t c1, float* c,
                     std::int64_t ldc) {
@@ -192,8 +192,9 @@ std::int64_t active_panel_width() {
   return 0;
 }
 
-// Runs the SIMD tile kernel matching `panel_width` over the 2D grid.
-// `packed_b` must have been produced by the same level's pack_b.
+// Runs the SIMD tile kernel matching `panel_width` over the 2D grid; the
+// kernels apply `epi` in registers. `packed_b` must have been produced by
+// the same level's pack_b.
 void simd_gemm_driver(std::int64_t panel_width, bool trans_a, std::int64_t m,
                       std::int64_t n, std::int64_t k, float alpha,
                       const float* a, std::int64_t lda, const float* packed_b,
@@ -201,20 +202,14 @@ void simd_gemm_driver(std::int64_t panel_width, bool trans_a, std::int64_t m,
                       const GemmEpilogue* epi = nullptr) {
   const std::int64_t n_panels = (n + panel_width - 1) / panel_width;
   const std::int64_t flops = 2 * m * n * k;
-  // Column units are packed-B panels; the epilogue works on column ranges.
-  const auto epi_tile = [&](std::int64_t r0, std::int64_t r1, std::int64_t p0,
-                            std::int64_t p1) {
-    apply_epilogue(*epi, r0, r1, p0 * panel_width,
-                   std::min(n, p1 * panel_width), c, ldc);
-  };
 #if defined(PODNET_HAVE_AVX512)
   if (panel_width == simd::avx512::kNr) {
     run_tiles(m, n_panels, flops,
               [&](std::int64_t r0, std::int64_t r1, std::int64_t p0,
                   std::int64_t p1) {
                 simd::avx512::gemm_tile(trans_a, r0, r1, p0, p1, n, k, alpha,
-                                        a, lda, packed_b, c, ldc, to_bf16);
-                if (epi != nullptr) epi_tile(r0, r1, p0, p1);
+                                        a, lda, packed_b, c, ldc, to_bf16,
+                                        epi);
               });
     return;
   }
@@ -225,15 +220,14 @@ void simd_gemm_driver(std::int64_t panel_width, bool trans_a, std::int64_t m,
               [&](std::int64_t r0, std::int64_t r1, std::int64_t p0,
                   std::int64_t p1) {
                 simd::avx2::gemm_tile(trans_a, r0, r1, p0, p1, n, k, alpha, a,
-                                      lda, packed_b, c, ldc, to_bf16);
-                if (epi != nullptr) epi_tile(r0, r1, p0, p1);
+                                      lda, packed_b, c, ldc, to_bf16, epi);
               });
     return;
   }
 #endif
   (void)trans_a;
   (void)lda;
-  (void)epi_tile;
+  (void)epi;
   assert(false && "no SIMD kernel for this panel width in this binary");
 }
 

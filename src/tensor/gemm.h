@@ -10,7 +10,8 @@
 // for the dispatch rules): a scalar reference that is bit-compatible with
 // the original PodNet kernel, an AVX2/FMA path built around a
 // register-blocked 6x16 microkernel, and an AVX-512 path around an 8x32
-// microkernel, both with cache-blocked packing. A shared 2D (rows x
+// microkernel, both over cache-blocked packed B panels (A is read in
+// place unless it is transposed or rounded to bf16). A shared 2D (rows x
 // column-panels) tile scheduler in gemm.cc splits every sufficiently large
 // product across the thread pool; each C element belongs to exactly one
 // tile and the in-tile K order is fixed, so results are independent of the
@@ -45,14 +46,14 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t ldc,
           MatmulPrecision precision = MatmulPrecision::kFp32);
 
-// Fused tail applied to each completed C tile while it is cache-hot: an
-// optional per-column bias add followed by an optional activation. Every C
-// element belongs to exactly one tile and each tile runs the full K extent,
-// so the tail can run per tile inside the worker that produced it — no
-// second pass over the output. The application reuses the shared span
-// kernels (ops.h add_inplace / swish / relu), so a fused bias is bitwise
-// identical to the interpreter's separate row-wise bias pass; a fused
-// activation matches it to within SIMD-boundary ULP differences.
+// Fused tail: an optional per-column bias add followed by an optional
+// activation. The SIMD microkernels apply it to the accumulator registers
+// in the store of the last K block — no second pass over the output — with
+// the float operations of the span kernels (ops.h add_inplace / swish /
+// relu), so the result is bitwise the interpreter's separate bias pass and
+// activation at the scalar and AVX-512 levels. At AVX2 the span kernels
+// finish each span with scalar code, where only non-finite values can
+// round differently (the parity tests bound the difference in ULPs).
 struct GemmEpilogue {
   enum class Act { kNone = 0, kSwish, kRelu };
   Act act = Act::kNone;
@@ -111,8 +112,7 @@ void gemm_prepacked(bool trans_a, std::int64_t m, std::int64_t n,
                     MatmulPrecision precision = MatmulPrecision::kFp32);
 
 // As above, with a fused epilogue applied to each C tile in the worker
-// that computed it (the ir::Executor's GEMM-tail hook for conv bias +
-// activation fusion).
+// that computed it (the ir::Executor's GEMM tail for bias + activation).
 void gemm_prepacked(bool trans_a, std::int64_t m, std::int64_t n,
                     std::int64_t k, float alpha, const float* a,
                     std::int64_t lda, const PackedB& bp, float beta, float* c,

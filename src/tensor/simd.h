@@ -28,6 +28,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "tensor/gemm.h"
+
 namespace podnet::tensor::simd {
 
 // Levels form a total order: every level's instruction set is a superset
@@ -117,16 +119,20 @@ std::size_t packed_b_size(std::int64_t k, std::int64_t n);
 void pack_b(bool trans_b, std::int64_t k, std::int64_t n, const float* b,
             std::int64_t ldb, bool to_bf16, float* dst);
 // One tile of C += alpha * op(A) * Bpacked: rows [m0, m1) x panels
-// [jp0, jp1) of the kNr-wide panel array produced by pack_b. A is packed
-// into register-friendly kMr-row panels per (MC x KC) block in a
-// thread_local buffer, so concurrent tiles on different threads never
-// share pack state. The 2D tile scheduler in gemm.cc decides the grid;
-// the beta pre-pass happens there too.
+// [jp0, jp1) of the kNr-wide panel array produced by pack_b. A plain fp32
+// A is read in place (the microkernel broadcasts straight from its rows);
+// a transposed or bf16 A is packed into kMr-row panels per (MC x KC)
+// block in a thread_local buffer, so concurrent tiles on different
+// threads never share pack state. A non-null `epi` is applied to the
+// accumulator tile in the store of the last K block: bias, then the
+// activation, lane for lane the float operations of the span kernels.
+// The 2D tile scheduler in gemm.cc decides the grid; the beta pre-pass
+// happens there too.
 void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
                std::int64_t jp0, std::int64_t jp1, std::int64_t n,
                std::int64_t k, float alpha, const float* a, std::int64_t lda,
                const float* packed_b, float* c, std::int64_t ldc,
-               bool to_bf16);
+               bool to_bf16, const GemmEpilogue* epi);
 
 }  // namespace avx2
 #endif  // PODNET_HAVE_AVX2
@@ -171,11 +177,12 @@ inline constexpr std::int64_t kNr = 32;
 std::size_t packed_b_size(std::int64_t k, std::int64_t n);
 void pack_b(bool trans_b, std::int64_t k, std::int64_t n, const float* b,
             std::int64_t ldb, bool to_bf16, float* dst);
+// Same tile contract as avx2::gemm_tile.
 void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
                std::int64_t jp0, std::int64_t jp1, std::int64_t n,
                std::int64_t k, float alpha, const float* a, std::int64_t lda,
                const float* packed_b, float* c, std::int64_t ldc,
-               bool to_bf16);
+               bool to_bf16, const GemmEpilogue* epi);
 
 }  // namespace avx512
 #endif  // PODNET_HAVE_AVX512

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/conv_direct.h"
@@ -58,10 +59,13 @@ void accumulate_pd(__m256 v, __m256d& acc0, __m256d& acc1) {
 // std::expf is ~1-2 ulp over the clamped range; inputs outside
 // [-88.38, 88.38] saturate to the boundary value (finite). Named (not in
 // the anonymous namespace) so the conv::avx2 kernels below can share it
-// for the fused swish epilogue.
+// for the fused swish epilogue. Always inlined, so a call inside a
+// register tile does not spill the tile; the empty asm on the result keeps
+// a caller's `1 + exp(..)` a separate rounding (GCC would otherwise
+// contract the final multiply into an FMA), so every copy rounds alike.
 // ---------------------------------------------------------------------------
 
-__m256 exp256_ps(__m256 x) {
+[[gnu::always_inline]] inline __m256 exp256_ps(__m256 x) {
   const __m256 hi = _mm256_set1_ps(88.3762626647950f);
   const __m256 lo = _mm256_set1_ps(-88.3762626647949f);
   const __m256 log2e = _mm256_set1_ps(1.44269504088896341f);
@@ -97,7 +101,9 @@ __m256 exp256_ps(__m256 x) {
   __m256i n = _mm256_cvttps_epi32(fx);
   n = _mm256_add_epi32(n, _mm256_set1_epi32(0x7f));
   n = _mm256_slli_epi32(n, 23);
-  return _mm256_mul_ps(y, _mm256_castsi256_ps(n));
+  __m256 r = _mm256_mul_ps(y, _mm256_castsi256_ps(n));
+  asm("" : "+x"(r));
+  return r;
 }
 
 float exp_scalar_tail(float x) {
@@ -400,59 +406,142 @@ void bf16_round_inplace(float* x, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM: register-blocked 6x16 FMA microkernel over packed panels.
+// GEMM: register-blocked 6x16 FMA microkernel.
 //
 //   B is packed into kNr(=16)-column panels spanning all of K, zero-padded
-//   in the last panel; A is packed per (MC x KC) block into kMr(=6)-row
+//   in the last panel. A plain fp32 A is broadcast straight from its rows;
+//   a transposed or bf16 A is packed per (MC x KC) block into kMr(=6)-row
 //   panels, zero-padded in the last panel. The microkernel keeps a 6x16
-//   accumulator tile in 12 ymm registers and streams both panels.
+//   accumulator tile in 12 ymm registers and streams both operands; a
+//   panel with at most 8 valid columns runs one accumulator column.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr std::int64_t kKc = 256;  // K block: B panel slice stays in L1/L2
-constexpr std::int64_t kMc = 120;  // M block: A pack (kMc x kKc) fits in L2
+constexpr std::int64_t kMc = 120;  // M block: A block (kMc x kKc) fits in L2
 
-// C[6,16] tile: c_tile += alpha * sum_p A[p,0..5] * B[p,0..15].
-// rows/cols give the valid extent (tails); full tiles store with vector
-// FMA, tails spill through a stack buffer.
-void micro_6x16(std::int64_t kc, const float* ap, const float* bp, float alpha,
-                float* c, std::int64_t ldc, std::int64_t rows,
-                std::int64_t cols) {
-  __m256 acc[kMr][2];
+// Lane mask for the first n lanes (n in [0, 8]).
+__m256i lane_mask(std::int64_t n) {
+  const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)), idx);
+}
+
+}  // namespace
+
+// Bias (when has_bias) then activation on one accumulator vector, lane for
+// lane the float operations of add_inplace, swish and relu above; the
+// scalar form runs the same code on one lane. Named so the conv kernels
+// below share them.
+[[gnu::always_inline]] inline __m256 epilogue256(__m256 v, __m256 bias,
+                                                 bool has_bias,
+                                                 GemmEpilogue::Act act) {
+  if (has_bias) v = _mm256_add_ps(v, bias);
+  if (act == GemmEpilogue::Act::kSwish) {
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 e = exp256_ps(_mm256_sub_ps(_mm256_setzero_ps(), v));
+    v = _mm256_mul_ps(v, _mm256_div_ps(one, _mm256_add_ps(one, e)));
+  } else if (act == GemmEpilogue::Act::kRelu) {
+    v = _mm256_max_ps(_mm256_setzero_ps(), v);
+  }
+  return v;
+}
+
+float epilogue_scalar(float v, float bias, bool has_bias,
+                      GemmEpilogue::Act act) {
+  return _mm256_cvtss_f32(epilogue256(_mm256_set1_ps(v),
+                                      _mm256_set1_ps(bias), has_bias, act));
+}
+
+namespace {
+
+// C[rows, cols] += alpha * A[rows, kc] * B[kc, cols] for one 6 x (8*NV)
+// register tile; cols <= 8*NV. kInPlace reads A(r, p) at a[r*lda + p]
+// (rows past `rows` re-read the last valid row, whose results are never
+// stored); otherwise `a` is a packed panel, A(r, p) at a[p*kMr + r]. A
+// partial panel loads and stores C through lane masks. A non-null `epi`
+// (the last K block) applies its bias (offset by the tile's first column
+// j0) and activation before the store.
+template <int NV, bool kInPlace>
+void micro_tile(std::int64_t kc, const float* a, std::int64_t lda,
+                const float* bp, float alpha, float* c, std::int64_t ldc,
+                std::int64_t rows, std::int64_t cols,
+                const GemmEpilogue* epi, std::int64_t j0) {
+  __m256 acc[kMr][NV];
+  const float* arow[kMr];
+  #pragma GCC unroll 16
   for (int r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) acc[r][j] = _mm256_setzero_ps();
+    arow[r] = a + std::min<std::int64_t>(r, rows - 1) * lda;
   }
   for (std::int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
-    const float* a = ap + p * kMr;
+    __m256 b[NV];
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) b[j] = _mm256_loadu_ps(bp + p * kNr + 8 * j);
+    #pragma GCC unroll 16
     for (int r = 0; r < kMr; ++r) {
-      const __m256 av = _mm256_set1_ps(a[r]);
-      acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+      const __m256 av =
+          _mm256_set1_ps(kInPlace ? arow[r][p] : a[p * kMr + r]);
+      #pragma GCC unroll 16
+      for (int j = 0; j < NV; ++j) {
+        acc[r][j] = _mm256_fmadd_ps(av, b[j], acc[r][j]);
+      }
     }
   }
   const __m256 va = _mm256_set1_ps(alpha);
-  if (cols == kNr) {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* crow = c + r * ldc;
-      _mm256_storeu_ps(crow,
-                       _mm256_fmadd_ps(va, acc[r][0], _mm256_loadu_ps(crow)));
-      _mm256_storeu_ps(
-          crow + 8, _mm256_fmadd_ps(va, acc[r][1], _mm256_loadu_ps(crow + 8)));
+  const bool full = cols == 8 * NV;
+  __m256i m[NV];
+  __m256 bias[NV];
+  const bool has_bias = epi != nullptr && epi->bias != nullptr;
+  #pragma GCC unroll 16
+  for (int j = 0; j < NV; ++j) {
+    m[j] = lane_mask(std::clamp<std::int64_t>(cols - 8 * j, 0, 8));
+    bias[j] = has_bias ? _mm256_maskload_ps(epi->bias + j0 + 8 * j, m[j])
+                       : _mm256_setzero_ps();
+  }
+  // Constant trip counts keep every acc index static: the tile stays in
+  // registers. Every C load comes before the first store: narrow rows
+  // share cache lines, and a load behind a partial masked store to its
+  // line would wait for that store (and so for its row's epilogue).
+  #pragma GCC unroll 16
+  for (int r = 0; r < kMr; ++r) {
+    if (r == rows) break;
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) {
+      const float* cv = c + r * ldc + 8 * j;
+      acc[r][j] = _mm256_fmadd_ps(
+          va, acc[r][j],
+          full ? _mm256_loadu_ps(cv) : _mm256_maskload_ps(cv, m[j]));
     }
-  } else {
-    alignas(32) float spill[kNr];
-    for (std::int64_t r = 0; r < rows; ++r) {
-      _mm256_store_ps(spill, acc[r][0]);
-      _mm256_store_ps(spill + 8, acc[r][1]);
-      float* crow = c + r * ldc;
-      for (std::int64_t j = 0; j < cols; ++j) {
-        crow[j] = std::fma(alpha, spill[j], crow[j]);
+  }
+  #pragma GCC unroll 16
+  for (int r = 0; r < kMr; ++r) {
+    if (r == rows) break;
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) {
+      float* cv = c + r * ldc + 8 * j;
+      __m256 v = acc[r][j];
+      if (epi != nullptr) v = epilogue256(v, bias[j], has_bias, epi->act);
+      if (full) {
+        _mm256_storeu_ps(cv, v);
+      } else {
+        _mm256_maskstore_ps(cv, m[j], v);
       }
     }
+  }
+}
+
+template <bool kInPlace>
+void micro(std::int64_t kc, const float* a, std::int64_t lda, const float* bp,
+           float alpha, float* c, std::int64_t ldc, std::int64_t rows,
+           std::int64_t cols, const GemmEpilogue* epi, std::int64_t j0) {
+  if (cols > 8) {
+    micro_tile<2, kInPlace>(kc, a, lda, bp, alpha, c, ldc, rows, cols, epi,
+                            j0);
+  } else {
+    micro_tile<1, kInPlace>(kc, a, lda, bp, alpha, c, ldc, rows, cols, epi,
+                            j0);
   }
 }
 
@@ -523,33 +612,42 @@ void pack_b(bool trans_b, std::int64_t k, std::int64_t n, const float* b,
 
 // One tile of the 2D (rows x panels) grid the scheduler in gemm.cc carves
 // the product into: rows [m0, m1) x B panels [jp0, jp1). The beta pre-pass
-// has already happened there. A is packed per (MC x KC) block into a
-// thread_local buffer, so concurrent tiles never share pack state, and the
-// per-element accumulation order (kb ascending, kc in-register) does not
-// depend on the tile boundaries — the result is grid- and
-// thread-count-independent.
+// has already happened there. A packed A lives in a thread_local buffer,
+// so concurrent tiles never share pack state, and the per-element
+// accumulation order (kb ascending, kc in-register) does not depend on
+// the tile boundaries — the result is grid- and thread-count-independent.
 void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
                std::int64_t jp0, std::int64_t jp1, std::int64_t n,
                std::int64_t k, float alpha, const float* a, std::int64_t lda,
                const float* packed_b, float* c, std::int64_t ldc,
-               bool to_bf16) {
+               bool to_bf16, const GemmEpilogue* epi) {
+  const bool in_place = !trans_a && !to_bf16;
   thread_local std::vector<float> a_panels;
   for (std::int64_t kb = 0; kb < k; kb += kKc) {
     const std::int64_t kc = std::min(kKc, k - kb);
+    const GemmEpilogue* tail = kb + kc == k ? epi : nullptr;
     for (std::int64_t ic = m0; ic < m1; ic += kMc) {
       const std::int64_t mc = std::min(kMc, m1 - ic);
       const std::int64_t m_panels = (mc + kMr - 1) / kMr;
-      a_panels.resize(static_cast<std::size_t>(m_panels * kMr * kc));
-      pack_a_block(trans_a, ic, mc, kb, kc, a, lda, a_panels.data());
-      if (to_bf16) bf16_round_inplace(a_panels.data(), a_panels.size());
+      if (!in_place) {
+        a_panels.resize(static_cast<std::size_t>(m_panels * kMr * kc));
+        pack_a_block(trans_a, ic, mc, kb, kc, a, lda, a_panels.data());
+        if (to_bf16) bf16_round_inplace(a_panels.data(), a_panels.size());
+      }
       for (std::int64_t ip = 0; ip < m_panels; ++ip) {
+        const std::int64_t i0 = ic + ip * kMr;
         const std::int64_t rows = std::min<std::int64_t>(kMr, mc - ip * kMr);
-        const float* ap = a_panels.data() + ip * kMr * kc;
         for (std::int64_t jp = jp0; jp < jp1; ++jp) {
           const std::int64_t cols = std::min<std::int64_t>(kNr, n - jp * kNr);
           const float* bp = packed_b + jp * kNr * k + kb * kNr;
-          micro_6x16(kc, ap, bp, alpha, c + (ic + ip * kMr) * ldc + jp * kNr,
-                     ldc, rows, cols);
+          float* ct = c + i0 * ldc + jp * kNr;
+          if (in_place) {
+            micro<true>(kc, a + i0 * lda + kb, lda, bp, alpha, ct, ldc, rows,
+                        cols, tail, jp * kNr);
+          } else {
+            micro<false>(kc, a_panels.data() + ip * kMr * kc, 0, bp, alpha,
+                         ct, ldc, rows, cols, tail, jp * kNr);
+          }
         }
       }
     }
@@ -568,19 +666,27 @@ namespace {
 
 namespace sa = podnet::tensor::simd::avx2;
 
-// Lane mask for an n-float tail (n in [0, 8)): lane j active iff j < n.
-__m256i tail_mask(std::int64_t n) {
-  const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)), idx);
-}
-
 }  // namespace
 
 void depthwise_forward_rows(const ConvGeometry& g, const float* x,
-                            const float* w, float* y, std::int64_t row0,
+                            const float* w, const float* bias,
+                            Epilogue epilogue, float* y, std::int64_t row0,
                             std::int64_t row1) {
   const std::int64_t C = g.in_c;
   const std::int64_t K = g.kernel_h;
+  const GemmEpilogue epi = gemm_epilogue(epilogue, bias);
+  const bool has_bias = epi.bias != nullptr;
+  // Bias + activation on the 8 channels from c (one channel for the
+  // scalar tails), before the store.
+  const auto tail = [&](__m256 acc, std::int64_t c) {
+    const __m256 b =
+        has_bias ? _mm256_loadu_ps(epi.bias + c) : _mm256_setzero_ps();
+    return sa::epilogue256(acc, b, has_bias, epi.act);
+  };
+  const auto tail1 = [&](float acc, std::int64_t c) {
+    return sa::epilogue_scalar(acc, has_bias ? epi.bias[c] : 0.f, has_bias,
+                               epi.act);
+  };
   for (std::int64_t row = row0; row < row1; ++row) {
     const std::int64_t n = row / g.out_h;
     const std::int64_t oh = row % g.out_h;
@@ -613,8 +719,8 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
                                    _mm256_loadu_ps(w_base + kw * C + 8), acc1);
           }
         }
-        _mm256_storeu_ps(out + c, acc0);
-        _mm256_storeu_ps(out + c + 8, acc1);
+        _mm256_storeu_ps(out + c, tail(acc0, c));
+        _mm256_storeu_ps(out + c + 8, tail(acc1, c + 8));
       }
       for (; c + 8 <= C; c += 8) {
         __m256 acc = _mm256_setzero_ps();
@@ -627,7 +733,7 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
                                   _mm256_loadu_ps(w_base + kw * C), acc);
           }
         }
-        _mm256_storeu_ps(out + c, acc);
+        _mm256_storeu_ps(out + c, tail(acc, c));
       }
       for (; c < C; ++c) {
         float acc = 0.f;
@@ -639,7 +745,7 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
             acc = std::fma(in_base[kw * C + c], w_base[kw * C + c], acc);
           }
         }
-        out[c] = acc;
+        out[c] = tail1(acc, c);
       }
     };
 
@@ -678,7 +784,7 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
           acc = _mm256_fmadd_ps(_mm256_loadu_ps(r2 + i0), wv[6], acc);
           acc = _mm256_fmadd_ps(_mm256_loadu_ps(r2 + i0 + C), wv[7], acc);
           acc = _mm256_fmadd_ps(_mm256_loadu_ps(r2 + i0 + 2 * C), wv[8], acc);
-          _mm256_storeu_ps(out_row + ow * C + c, acc);
+          _mm256_storeu_ps(out_row + ow * C + c, tail(acc, c));
         }
       }
       for (; c < C; ++c) {
@@ -694,7 +800,7 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
           acc = std::fma(r2[i0], w[6 * C + c], acc);
           acc = std::fma(r2[i0 + C], w[7 * C + c], acc);
           acc = std::fma(r2[i0 + 2 * C], w[8 * C + c], acc);
-          out_row[ow * C + c] = acc;
+          out_row[ow * C + c] = tail1(acc, c);
         }
       }
       continue;
@@ -780,84 +886,152 @@ void depthwise_backward(const ConvGeometry& g, const float* x, const float* w,
   }
 }
 
+namespace {
+
+// P adjacent output pixels of one output row, each with NV accumulators
+// for the out-channel block at w/bias/out (already offset by its first
+// channel): taps (kh, kw, ci) ascending per pixel, as in the scalar
+// reference, with each tap's weight vectors shared by the P pixels. The
+// last vector loads and stores through `last` (its valid lanes). x0 is
+// the input offset of pixel 0's (kh, kw) = (0, 0) tap and pixels sit
+// px_step floats apart; only taps in [kh_lo, kh_hi) x [kw_lo, kw_hi) run.
+template <int NV, int P>
+void conv_pixels(const ConvGeometry& g, std::int64_t out_c, const float* x,
+                 std::int64_t x0, std::int64_t px_step, const float* w,
+                 __m256i last, std::int64_t kh_lo, std::int64_t kh_hi,
+                 std::int64_t kw_lo, std::int64_t kw_hi,
+                 const GemmEpilogue& epi, const float* bias, float* out) {
+  const std::int64_t C = g.in_c;
+  const std::int64_t K = g.kernel_h;
+  const auto load = [&](const float* p, int j) {
+    return j + 1 < NV ? _mm256_loadu_ps(p + j * 8)
+                      : _mm256_maskload_ps(p + j * 8, last);
+  };
+  __m256 acc[P][NV];
+  #pragma GCC unroll 16
+  for (int p = 0; p < P; ++p) {
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) acc[p][j] = _mm256_setzero_ps();
+  }
+  for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
+    for (std::int64_t kw = kw_lo; kw < kw_hi; ++kw) {
+      const float* in = x + (x0 + (kh * g.in_w + kw) * C);
+      const float* wk = w + (kh * K + kw) * C * out_c;
+      for (std::int64_t ci = 0; ci < C; ++ci) {
+        __m256 wv[NV];
+        #pragma GCC unroll 16
+        for (int j = 0; j < NV; ++j) wv[j] = load(wk + ci * out_c, j);
+        #pragma GCC unroll 16
+        for (int p = 0; p < P; ++p) {
+          const __m256 xv = _mm256_set1_ps(in[p * px_step + ci]);
+          #pragma GCC unroll 16
+          for (int j = 0; j < NV; ++j) {
+            acc[p][j] = _mm256_fmadd_ps(xv, wv[j], acc[p][j]);
+          }
+        }
+      }
+    }
+  }
+  const bool has_bias = epi.bias != nullptr;
+  __m256 bv[NV];
+  #pragma GCC unroll 16
+  for (int j = 0; j < NV; ++j) {
+    bv[j] = has_bias ? load(bias, j) : _mm256_setzero_ps();
+  }
+  #pragma GCC unroll 16
+  for (int p = 0; p < P; ++p) {
+    float* o = out + p * out_c;
+    #pragma GCC unroll 16
+    for (int j = 0; j + 1 < NV; ++j) {
+      _mm256_storeu_ps(o + j * 8,
+                       sa::epilogue256(acc[p][j], bv[j], has_bias, epi.act));
+    }
+    _mm256_maskstore_ps(
+        o + (NV - 1) * 8, last,
+        sa::epilogue256(acc[p][NV - 1], bv[NV - 1], has_bias, epi.act));
+  }
+}
+
+// One output row's out-channel block: interior pixels in blocks of P,
+// every other pixel alone with its taps clipped to the image. P keeps
+// P * NV accumulators within 12 of the 16 ymm registers.
+template <int NV>
+void conv_row(const ConvGeometry& g, std::int64_t out_c, const float* x,
+              std::int64_t x_row, const float* w, __m256i last,
+              std::int64_t kh_lo, std::int64_t kh_hi, std::int64_t ow_lo,
+              std::int64_t ow_hi, const GemmEpilogue& epi, const float* bias,
+              float* out_row) {
+  constexpr int P = NV == 1 ? 8 : NV == 2 ? 4 : NV <= 4 ? 2 : 1;
+  const std::int64_t C = g.in_c;
+  const std::int64_t K = g.kernel_h;
+  const std::int64_t px_step = g.stride * C;
+  const auto x0 = [&](std::int64_t ow) {
+    return x_row + (ow * g.stride - g.pad_left) * C;
+  };
+  const auto one = [&](std::int64_t ow) {
+    const std::int64_t iw0 = ow * g.stride - g.pad_left;
+    const std::int64_t kw_lo = iw0 < 0 ? -iw0 : 0;
+    const std::int64_t kw_hi = std::min<std::int64_t>(K, g.in_w - iw0);
+    conv_pixels<NV, 1>(g, out_c, x, x0(ow), px_step, w, last, kh_lo, kh_hi,
+                       kw_lo, kw_hi, epi, bias, out_row + ow * out_c);
+  };
+  std::int64_t ow = 0;
+  for (; ow < ow_lo; ++ow) one(ow);
+  if constexpr (P > 1) {
+    for (; ow + P <= ow_hi; ow += P) {
+      conv_pixels<NV, P>(g, out_c, x, x0(ow), px_step, w, last, kh_lo, kh_hi,
+                         0, K, epi, bias, out_row + ow * out_c);
+    }
+  }
+  for (; ow < g.out_w; ++ow) one(ow);
+}
+
+}  // namespace
+
 void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
                         const float* x, const float* w, const float* bias,
                         Epilogue epilogue, float* y, std::int64_t row0,
                         std::int64_t row1) {
   const std::int64_t C = g.in_c;
   const std::int64_t K = g.kernel_h;
-  const __m256 one = _mm256_set1_ps(1.0f);
+  const GemmEpilogue epi = gemm_epilogue(epilogue, bias);
+  // Output columns [ow_lo, ow_hi) see every kernel column.
+  const std::int64_t ow_lo = std::min<std::int64_t>(
+      g.out_w, (g.pad_left + g.stride - 1) / g.stride);
+  const std::int64_t last_iw = g.in_w - K + g.pad_left;
+  const std::int64_t ow_hi = std::max<std::int64_t>(
+      ow_lo, last_iw < 0 ? 0
+                         : std::min<std::int64_t>(g.out_w,
+                                                  last_iw / g.stride + 1));
   for (std::int64_t row = row0; row < row1; ++row) {
     const std::int64_t n = row / g.out_h;
     const std::int64_t oh = row % g.out_h;
     const std::int64_t ih0 = oh * g.stride - g.pad_top;
     const std::int64_t kh_lo = ih0 < 0 ? -ih0 : 0;
     const std::int64_t kh_hi = std::min<std::int64_t>(K, g.in_h - ih0);
+    const std::int64_t x_row = (n * g.in_h + ih0) * g.in_w * C;
     float* out_row = y + row * g.out_w * out_c;
-    for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
-      const std::int64_t iw0 = ow * g.stride - g.pad_left;
-      const std::int64_t kw_lo = iw0 < 0 ? -iw0 : 0;
-      const std::int64_t kw_hi = std::min<std::int64_t>(K, g.in_w - iw0);
-      float* out = out_row + ow * out_c;
-      // Up to 64 output channels (8 ymm accumulators) per pixel stay in
-      // registers while the Kh x Kw x in_c taps stream by; HWIO weights
-      // make the out_c axis a contiguous vector load and x a broadcast.
-      for (std::int64_t co0 = 0; co0 < out_c; co0 += 64) {
-        const std::int64_t oc = std::min<std::int64_t>(64, out_c - co0);
-        const std::int64_t full = oc / 8;
-        const std::int64_t rem = oc % 8;
-        const __m256i mask = tail_mask(rem);
-        __m256 acc[8];
-        const std::int64_t nvec = full + (rem ? 1 : 0);
-        for (std::int64_t j = 0; j < nvec; ++j) acc[j] = _mm256_setzero_ps();
-        for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
-          const float* in_row =
-              x + ((n * g.in_h + ih0 + kh) * g.in_w + iw0) * C;
-          for (std::int64_t kw = kw_lo; kw < kw_hi; ++kw) {
-            const float* in = in_row + kw * C;
-            const float* wk = w + (kh * K + kw) * C * out_c + co0;
-            for (std::int64_t ci = 0; ci < C; ++ci) {
-              const __m256 xv = _mm256_set1_ps(in[ci]);
-              const float* wr = wk + ci * out_c;
-              for (std::int64_t j = 0; j < full; ++j) {
-                acc[j] = _mm256_fmadd_ps(xv, _mm256_loadu_ps(wr + j * 8),
-                                         acc[j]);
-              }
-              if (rem) {
-                acc[full] = _mm256_fmadd_ps(
-                    xv, _mm256_maskload_ps(wr + full * 8, mask), acc[full]);
-              }
-            }
-          }
-        }
-        if (epilogue != Epilogue::kNone && bias != nullptr) {
-          const float* b = bias + co0;
-          for (std::int64_t j = 0; j < full; ++j) {
-            acc[j] = _mm256_add_ps(acc[j], _mm256_loadu_ps(b + j * 8));
-          }
-          if (rem) {
-            acc[full] = _mm256_add_ps(acc[full],
-                                      _mm256_maskload_ps(b + full * 8, mask));
-          }
-        }
-        if (epilogue == Epilogue::kBiasSwish) {
-          for (std::int64_t j = 0; j < nvec; ++j) {
-            const __m256 e =
-                sa::exp256_ps(_mm256_sub_ps(_mm256_setzero_ps(), acc[j]));
-            acc[j] = _mm256_mul_ps(acc[j],
-                                   _mm256_div_ps(one, _mm256_add_ps(one, e)));
-          }
-        } else if (epilogue == Epilogue::kBiasRelu) {
-          for (std::int64_t j = 0; j < nvec; ++j) {
-            acc[j] = _mm256_max_ps(acc[j], _mm256_setzero_ps());
-          }
-        }
-        for (std::int64_t j = 0; j < full; ++j) {
-          _mm256_storeu_ps(out + co0 + j * 8, acc[j]);
-        }
-        if (rem) {
-          _mm256_maskstore_ps(out + co0 + full * 8, mask, acc[full]);
-        }
+    // Up to 64 output channels (8 ymm accumulators) per pixel stay in
+    // registers while the Kh x Kw x in_c taps stream by.
+    for (std::int64_t co0 = 0; co0 < out_c; co0 += 64) {
+      const std::int64_t oc = std::min<std::int64_t>(64, out_c - co0);
+      const std::int64_t nvec = (oc + 7) / 8;
+      const __m256i last = sa::lane_mask(oc - (nvec - 1) * 8);
+      const float* b = epi.bias != nullptr ? epi.bias + co0 : nullptr;
+      const auto row_fn = [&](auto nv) {
+        conv_row<decltype(nv)::value>(g, out_c, x, x_row, w + co0, last,
+                                      kh_lo, kh_hi, ow_lo, ow_hi, epi, b,
+                                      out_row + co0);
+      };
+      switch (nvec) {
+        case 1: row_fn(std::integral_constant<int, 1>{}); break;
+        case 2: row_fn(std::integral_constant<int, 2>{}); break;
+        case 3: row_fn(std::integral_constant<int, 3>{}); break;
+        case 4: row_fn(std::integral_constant<int, 4>{}); break;
+        case 5: row_fn(std::integral_constant<int, 5>{}); break;
+        case 6: row_fn(std::integral_constant<int, 6>{}); break;
+        case 7: row_fn(std::integral_constant<int, 7>{}); break;
+        default: row_fn(std::integral_constant<int, 8>{}); break;
       }
     }
   }

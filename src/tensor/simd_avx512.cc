@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 namespace podnet::tensor::simd::avx512 {
@@ -46,10 +47,13 @@ void accumulate_pd(__m512 v, __m512d& acc0, __m512d& acc1) {
 // ---------------------------------------------------------------------------
 // expf — the same Cephes-style polynomial as exp256_ps in simd_avx2.cc,
 // widened to 512 bits. Same clamp range, same coefficients; agrees with the
-// AVX2 version lane-for-lane.
+// AVX2 version lane-for-lane. Always inlined, so a call inside a register
+// tile does not spill the tile; the empty asm on the result keeps a
+// caller's `1 + exp(..)` a separate rounding (GCC would otherwise contract
+// the final multiply into an FMA), so every inlined copy rounds alike.
 // ---------------------------------------------------------------------------
 
-__m512 exp512_ps(__m512 x) {
+[[gnu::always_inline]] inline __m512 exp512_ps(__m512 x) {
   const __m512 hi = _mm512_set1_ps(88.3762626647950f);
   const __m512 lo = _mm512_set1_ps(-88.3762626647949f);
   const __m512 log2e = _mm512_set1_ps(1.44269504088896341f);
@@ -85,7 +89,9 @@ __m512 exp512_ps(__m512 x) {
   __m512i n = _mm512_cvttps_epi32(fx);
   n = _mm512_add_epi32(n, _mm512_set1_epi32(0x7f));
   n = _mm512_slli_epi32(n, 23);
-  return _mm512_mul_ps(y, _mm512_castsi512_ps(n));
+  __m512 r = _mm512_mul_ps(y, _mm512_castsi512_ps(n));
+  asm("" : "+v"(r));
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -413,66 +419,121 @@ double exp_sub_sum(float* row, std::size_t n, float m) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM: register-blocked 8x32 FMA microkernel over packed panels.
+// GEMM: register-blocked 8x32 FMA microkernel.
 //
 //   B is packed into kNr(=32)-column panels spanning all of K, zero-padded
-//   in the last panel; A is packed per (MC x KC) block into kMr(=8)-row
+//   in the last panel. A plain fp32 A is broadcast straight from its rows;
+//   a transposed or bf16 A is packed per (MC x KC) block into kMr(=8)-row
 //   panels. The microkernel keeps an 8x32 accumulator tile in 16 zmm
-//   registers (half the AVX-512 register file) and streams both panels.
+//   registers (half the AVX-512 register file) and streams both operands;
+//   a panel with at most 16 valid columns runs one accumulator column.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr std::int64_t kKc = 256;  // K block: B panel slice stays in L1/L2
-constexpr std::int64_t kMc = 64;   // M block: A pack (kMc x kKc) fits in L2
+constexpr std::int64_t kMc = 64;   // M block: A block (kMc x kKc) fits in L2
 
-// C[8,32] tile: c_tile += alpha * sum_p A[p,0..7] * B[p,0..31]. rows/cols
-// give the valid extent; column tails store through opmasks.
-void micro_8x32(std::int64_t kc, const float* ap, const float* bp, float alpha,
-                float* c, std::int64_t ldc, std::int64_t rows,
-                std::int64_t cols) {
-  __m512 acc[kMr][2];
+}  // namespace
+
+// Bias (when has_bias) then activation on one accumulator vector, lane for
+// lane the float operations of add_inplace, swish and relu above. Named so
+// the conv kernels below share it.
+[[gnu::always_inline]] inline __m512 epilogue512(__m512 v, __m512 bias,
+                                                 bool has_bias,
+                                                 GemmEpilogue::Act act) {
+  if (has_bias) v = _mm512_add_ps(v, bias);
+  if (act == GemmEpilogue::Act::kSwish) {
+    const __m512 one = _mm512_set1_ps(1.0f);
+    const __m512 e = exp512_ps(_mm512_sub_ps(_mm512_setzero_ps(), v));
+    v = _mm512_mul_ps(v, _mm512_div_ps(one, _mm512_add_ps(one, e)));
+  } else if (act == GemmEpilogue::Act::kRelu) {
+    v = _mm512_max_ps(_mm512_setzero_ps(), v);
+  }
+  return v;
+}
+
+namespace {
+
+// C[rows, cols] += alpha * A[rows, kc] * B[kc, cols] for one 8 x (16*NV)
+// register tile; cols <= 16*NV, and column tails store through opmasks.
+// kInPlace reads A(r, p) at a[r*lda + p] (rows past `rows` re-read the
+// last valid row, whose results are never stored); otherwise `a` is a
+// packed panel, A(r, p) at a[p*kMr + r]. A non-null `epi` (the last K
+// block) applies its bias (offset by the tile's first column j0) and
+// activation before the store.
+template <int NV, bool kInPlace>
+void micro_tile(std::int64_t kc, const float* a, std::int64_t lda,
+                const float* bp, float alpha, float* c, std::int64_t ldc,
+                std::int64_t rows, std::int64_t cols,
+                const GemmEpilogue* epi, std::int64_t j0) {
+  __m512 acc[kMr][NV];
+  const float* arow[kMr];
+  #pragma GCC unroll 16
   for (int r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm512_setzero_ps();
-    acc[r][1] = _mm512_setzero_ps();
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) acc[r][j] = _mm512_setzero_ps();
+    arow[r] = a + std::min<std::int64_t>(r, rows - 1) * lda;
   }
   for (std::int64_t p = 0; p < kc; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * kNr);
-    const __m512 b1 = _mm512_loadu_ps(bp + p * kNr + 16);
-    const float* a = ap + p * kMr;
+    __m512 b[NV];
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) b[j] = _mm512_loadu_ps(bp + p * kNr + 16 * j);
+    #pragma GCC unroll 16
     for (int r = 0; r < kMr; ++r) {
-      const __m512 av = _mm512_set1_ps(a[r]);
-      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+      const __m512 av = _mm512_set1_ps(kInPlace ? arow[r][p] : a[p * kMr + r]);
+      #pragma GCC unroll 16
+      for (int j = 0; j < NV; ++j) {
+        acc[r][j] = _mm512_fmadd_ps(av, b[j], acc[r][j]);
+      }
     }
   }
   const __m512 va = _mm512_set1_ps(alpha);
-  if (cols == kNr) {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* crow = c + r * ldc;
-      _mm512_storeu_ps(crow,
-                       _mm512_fmadd_ps(va, acc[r][0], _mm512_loadu_ps(crow)));
-      _mm512_storeu_ps(
-          crow + 16,
-          _mm512_fmadd_ps(va, acc[r][1], _mm512_loadu_ps(crow + 16)));
+  __mmask16 m[NV];
+  __m512 bias[NV];
+  const bool has_bias = epi != nullptr && epi->bias != nullptr;
+  #pragma GCC unroll 16
+  for (int j = 0; j < NV; ++j) {
+    m[j] = head_mask(static_cast<std::size_t>(
+        std::clamp<std::int64_t>(cols - 16 * j, 0, 16)));
+    bias[j] = has_bias ? _mm512_maskz_loadu_ps(m[j], epi->bias + j0 + 16 * j)
+                       : _mm512_setzero_ps();
+  }
+  // Constant trip counts keep every acc index static: the tile stays in
+  // registers. Every C load comes before the first store: narrow rows
+  // share cache lines, and a load behind a partial masked store to its
+  // line would wait for that store (and so for its row's epilogue).
+  #pragma GCC unroll 16
+  for (int r = 0; r < kMr; ++r) {
+    if (r == rows) break;
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) {
+      acc[r][j] = _mm512_fmadd_ps(
+          va, acc[r][j], _mm512_maskz_loadu_ps(m[j], c + r * ldc + 16 * j));
     }
+  }
+  #pragma GCC unroll 16
+  for (int r = 0; r < kMr; ++r) {
+    if (r == rows) break;
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) {
+      __m512 v = acc[r][j];
+      if (epi != nullptr) v = epilogue512(v, bias[j], has_bias, epi->act);
+      _mm512_mask_storeu_ps(c + r * ldc + 16 * j, m[j], v);
+    }
+  }
+}
+
+template <bool kInPlace>
+void micro(std::int64_t kc, const float* a, std::int64_t lda, const float* bp,
+           float alpha, float* c, std::int64_t ldc, std::int64_t rows,
+           std::int64_t cols, const GemmEpilogue* epi, std::int64_t j0) {
+  if (cols > 16) {
+    micro_tile<2, kInPlace>(kc, a, lda, bp, alpha, c, ldc, rows, cols, epi,
+                            j0);
   } else {
-    const __mmask16 m0 = head_mask(static_cast<std::size_t>(cols));
-    const __mmask16 m1 =
-        cols > 16 ? head_mask(static_cast<std::size_t>(cols - 16))
-                  : static_cast<__mmask16>(0);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* crow = c + r * ldc;
-      _mm512_mask_storeu_ps(
-          crow, m0,
-          _mm512_fmadd_ps(va, acc[r][0], _mm512_maskz_loadu_ps(m0, crow)));
-      if (m1) {
-        _mm512_mask_storeu_ps(
-            crow + 16, m1,
-            _mm512_fmadd_ps(va, acc[r][1],
-                            _mm512_maskz_loadu_ps(m1, crow + 16)));
-      }
-    }
+    micro_tile<1, kInPlace>(kc, a, lda, bp, alpha, c, ldc, rows, cols, epi,
+                            j0);
   }
 }
 
@@ -550,24 +611,36 @@ void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
                std::int64_t jp0, std::int64_t jp1, std::int64_t n,
                std::int64_t k, float alpha, const float* a, std::int64_t lda,
                const float* packed_b, float* c, std::int64_t ldc,
-               bool to_bf16) {
+               bool to_bf16, const GemmEpilogue* epi) {
+  const bool in_place = !trans_a && !to_bf16;
   thread_local std::vector<float> a_panels;
   for (std::int64_t kb = 0; kb < k; kb += kKc) {
     const std::int64_t kc = std::min(kKc, k - kb);
+    const GemmEpilogue* tail = kb + kc == k ? epi : nullptr;
     for (std::int64_t ic = m0; ic < m1; ic += kMc) {
       const std::int64_t mc = std::min(kMc, m1 - ic);
       const std::int64_t m_panels = (mc + kMr - 1) / kMr;
-      a_panels.resize(static_cast<std::size_t>(m_panels * kMr * kc));
-      pack_a_block(trans_a, ic, mc, kb, kc, a, lda, a_panels.data());
-      if (to_bf16) avx2::bf16_round_inplace(a_panels.data(), a_panels.size());
+      if (!in_place) {
+        a_panels.resize(static_cast<std::size_t>(m_panels * kMr * kc));
+        pack_a_block(trans_a, ic, mc, kb, kc, a, lda, a_panels.data());
+        if (to_bf16) {
+          avx2::bf16_round_inplace(a_panels.data(), a_panels.size());
+        }
+      }
       for (std::int64_t ip = 0; ip < m_panels; ++ip) {
+        const std::int64_t i0 = ic + ip * kMr;
         const std::int64_t rows = std::min<std::int64_t>(kMr, mc - ip * kMr);
-        const float* ap = a_panels.data() + ip * kMr * kc;
         for (std::int64_t jp = jp0; jp < jp1; ++jp) {
           const std::int64_t cols = std::min<std::int64_t>(kNr, n - jp * kNr);
           const float* bp = packed_b + jp * kNr * k + kb * kNr;
-          micro_8x32(kc, ap, bp, alpha, c + (ic + ip * kMr) * ldc + jp * kNr,
-                     ldc, rows, cols);
+          float* ct = c + i0 * ldc + jp * kNr;
+          if (in_place) {
+            micro<true>(kc, a + i0 * lda + kb, lda, bp, alpha, ct, ldc, rows,
+                        cols, tail, jp * kNr);
+          } else {
+            micro<false>(kc, a_panels.data() + ip * kMr * kc, 0, bp, alpha,
+                         ct, ldc, rows, cols, tail, jp * kNr);
+          }
         }
       }
     }
@@ -595,10 +668,19 @@ __mmask16 head_mask16(std::int64_t n) {
 }  // namespace
 
 void depthwise_forward_rows(const ConvGeometry& g, const float* x,
-                            const float* w, float* y, std::int64_t row0,
+                            const float* w, const float* bias,
+                            Epilogue epilogue, float* y, std::int64_t row0,
                             std::int64_t row1) {
   const std::int64_t C = g.in_c;
   const std::int64_t K = g.kernel_h;
+  const GemmEpilogue epi = gemm_epilogue(epilogue, bias);
+  const bool has_bias = epi.bias != nullptr;
+  // Bias + activation on the 16 channels from c, before the store.
+  const auto tail = [&](__m512 acc, std::int64_t c, __mmask16 m) {
+    const __m512 b = has_bias ? _mm512_maskz_loadu_ps(m, epi.bias + c)
+                              : _mm512_setzero_ps();
+    return sa::epilogue512(acc, b, has_bias, epi.act);
+  };
   for (std::int64_t row = row0; row < row1; ++row) {
     const std::int64_t n = row / g.out_h;
     const std::int64_t oh = row % g.out_h;
@@ -630,8 +712,8 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
                                    acc1);
           }
         }
-        _mm512_storeu_ps(out + c, acc0);
-        _mm512_storeu_ps(out + c + 16, acc1);
+        _mm512_storeu_ps(out + c, tail(acc0, c, 0xffff));
+        _mm512_storeu_ps(out + c + 16, tail(acc1, c + 16, 0xffff));
       }
       for (; c < C; c += 16) {
         const __mmask16 m = head_mask16(C - c);
@@ -646,7 +728,7 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
                                   acc);
           }
         }
-        _mm512_mask_storeu_ps(out + c, m, acc);
+        _mm512_mask_storeu_ps(out + c, m, tail(acc, c, m));
       }
     };
 
@@ -691,7 +773,7 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
                                 acc);
           acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, r2 + i0 + 2 * C),
                                 wv[8], acc);
-          _mm512_mask_storeu_ps(out_row + ow * C + c, m, acc);
+          _mm512_mask_storeu_ps(out_row + ow * C + c, m, tail(acc, c, m));
         }
       }
       continue;
@@ -749,74 +831,145 @@ void depthwise_backward(const ConvGeometry& g, const float* x, const float* w,
   }
 }
 
+namespace {
+
+// P adjacent output pixels of one output row, each with NV accumulators
+// for the out-channel block at w/bias/out (already offset by its first
+// channel): taps (kh, kw, ci) ascending per pixel, as in the scalar
+// reference, with each tap's weight vectors shared by the P pixels. x0 is
+// the input offset of pixel 0's (kh, kw) = (0, 0) tap and pixels sit
+// px_step floats apart; only taps in [kh_lo, kh_hi) x [kw_lo, kw_hi) run.
+template <int NV, int P>
+void conv_pixels(const ConvGeometry& g, std::int64_t out_c, const float* x,
+                 std::int64_t x0, std::int64_t px_step, const float* w,
+                 const __mmask16* masks, std::int64_t kh_lo,
+                 std::int64_t kh_hi, std::int64_t kw_lo, std::int64_t kw_hi,
+                 const GemmEpilogue& epi, const float* bias, float* out) {
+  const std::int64_t C = g.in_c;
+  const std::int64_t K = g.kernel_h;
+  __m512 acc[P][NV];
+  #pragma GCC unroll 16
+  for (int p = 0; p < P; ++p) {
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) acc[p][j] = _mm512_setzero_ps();
+  }
+  for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
+    for (std::int64_t kw = kw_lo; kw < kw_hi; ++kw) {
+      const float* in = x + (x0 + (kh * g.in_w + kw) * C);
+      const float* wk = w + (kh * K + kw) * C * out_c;
+      for (std::int64_t ci = 0; ci < C; ++ci) {
+        __m512 wv[NV];
+        #pragma GCC unroll 16
+        for (int j = 0; j < NV; ++j) {
+          wv[j] = _mm512_maskz_loadu_ps(masks[j], wk + ci * out_c + j * 16);
+        }
+        #pragma GCC unroll 16
+        for (int p = 0; p < P; ++p) {
+          const __m512 xv = _mm512_set1_ps(in[p * px_step + ci]);
+          #pragma GCC unroll 16
+          for (int j = 0; j < NV; ++j) {
+            acc[p][j] = _mm512_fmadd_ps(xv, wv[j], acc[p][j]);
+          }
+        }
+      }
+    }
+  }
+  const bool has_bias = epi.bias != nullptr;
+  __m512 bv[NV];
+  #pragma GCC unroll 16
+  for (int j = 0; j < NV; ++j) {
+    bv[j] = has_bias ? _mm512_maskz_loadu_ps(masks[j], bias + j * 16)
+                     : _mm512_setzero_ps();
+  }
+  #pragma GCC unroll 16
+  for (int p = 0; p < P; ++p) {
+    #pragma GCC unroll 16
+    for (int j = 0; j < NV; ++j) {
+      _mm512_mask_storeu_ps(
+          out + p * out_c + j * 16, masks[j],
+          sa::epilogue512(acc[p][j], bv[j], has_bias, epi.act));
+    }
+  }
+}
+
+// One output row's out-channel block: interior pixels in blocks of P (then
+// 4), every other pixel alone with its taps clipped to the image.
+template <int NV>
+void conv_row(const ConvGeometry& g, std::int64_t out_c, const float* x,
+              std::int64_t x_row, const float* w, const __mmask16* masks,
+              std::int64_t kh_lo, std::int64_t kh_hi, std::int64_t ow_lo,
+              std::int64_t ow_hi, const GemmEpilogue& epi, const float* bias,
+              float* out_row) {
+  constexpr int P = NV <= 2 ? 8 : 4;
+  const std::int64_t C = g.in_c;
+  const std::int64_t K = g.kernel_h;
+  const std::int64_t px_step = g.stride * C;
+  const auto x0 = [&](std::int64_t ow) {
+    return x_row + (ow * g.stride - g.pad_left) * C;
+  };
+  const auto one = [&](std::int64_t ow) {
+    const std::int64_t iw0 = ow * g.stride - g.pad_left;
+    const std::int64_t kw_lo = iw0 < 0 ? -iw0 : 0;
+    const std::int64_t kw_hi = std::min<std::int64_t>(K, g.in_w - iw0);
+    conv_pixels<NV, 1>(g, out_c, x, x0(ow), px_step, w, masks, kh_lo, kh_hi,
+                       kw_lo, kw_hi, epi, bias, out_row + ow * out_c);
+  };
+  std::int64_t ow = 0;
+  for (; ow < ow_lo; ++ow) one(ow);
+  for (; ow + P <= ow_hi; ow += P) {
+    conv_pixels<NV, P>(g, out_c, x, x0(ow), px_step, w, masks, kh_lo, kh_hi,
+                       0, K, epi, bias, out_row + ow * out_c);
+  }
+  if constexpr (P > 4) {
+    for (; ow + 4 <= ow_hi; ow += 4) {
+      conv_pixels<NV, 4>(g, out_c, x, x0(ow), px_step, w, masks, kh_lo,
+                         kh_hi, 0, K, epi, bias, out_row + ow * out_c);
+    }
+  }
+  for (; ow < g.out_w; ++ow) one(ow);
+}
+
+}  // namespace
+
 void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
                         const float* x, const float* w, const float* bias,
                         Epilogue epilogue, float* y, std::int64_t row0,
                         std::int64_t row1) {
   const std::int64_t C = g.in_c;
   const std::int64_t K = g.kernel_h;
-  const __m512 one = _mm512_set1_ps(1.0f);
+  const GemmEpilogue epi = gemm_epilogue(epilogue, bias);
+  // Output columns [ow_lo, ow_hi) see every kernel column.
+  const std::int64_t ow_lo = std::min<std::int64_t>(
+      g.out_w, (g.pad_left + g.stride - 1) / g.stride);
+  const std::int64_t last = g.in_w - K + g.pad_left;
+  const std::int64_t ow_hi = std::max<std::int64_t>(
+      ow_lo, last < 0 ? 0 : std::min<std::int64_t>(g.out_w, last / g.stride + 1));
   for (std::int64_t row = row0; row < row1; ++row) {
     const std::int64_t n = row / g.out_h;
     const std::int64_t oh = row % g.out_h;
     const std::int64_t ih0 = oh * g.stride - g.pad_top;
     const std::int64_t kh_lo = ih0 < 0 ? -ih0 : 0;
     const std::int64_t kh_hi = std::min<std::int64_t>(K, g.in_h - ih0);
+    const std::int64_t x_row = (n * g.in_h + ih0) * g.in_w * C;
     float* out_row = y + row * g.out_w * out_c;
-    for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
-      const std::int64_t iw0 = ow * g.stride - g.pad_left;
-      const std::int64_t kw_lo = iw0 < 0 ? -iw0 : 0;
-      const std::int64_t kw_hi = std::min<std::int64_t>(K, g.in_w - iw0);
-      float* out = out_row + ow * out_c;
-      // Up to 64 output channels (4 zmm accumulators) per pixel stay in
-      // registers across all taps.
-      for (std::int64_t co0 = 0; co0 < out_c; co0 += 64) {
-        const std::int64_t oc = std::min<std::int64_t>(64, out_c - co0);
-        const std::int64_t nvec = (oc + 15) / 16;
-        __mmask16 masks[4];
-        __m512 acc[4];
-        for (std::int64_t j = 0; j < nvec; ++j) {
-          masks[j] = head_mask16(oc - j * 16);
-          acc[j] = _mm512_setzero_ps();
-        }
-        for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
-          const float* in_row =
-              x + ((n * g.in_h + ih0 + kh) * g.in_w + iw0) * C;
-          for (std::int64_t kw = kw_lo; kw < kw_hi; ++kw) {
-            const float* in = in_row + kw * C;
-            const float* wk = w + (kh * K + kw) * C * out_c + co0;
-            for (std::int64_t ci = 0; ci < C; ++ci) {
-              const __m512 xv = _mm512_set1_ps(in[ci]);
-              const float* wr = wk + ci * out_c;
-              for (std::int64_t j = 0; j < nvec; ++j) {
-                acc[j] = _mm512_fmadd_ps(
-                    xv, _mm512_maskz_loadu_ps(masks[j], wr + j * 16), acc[j]);
-              }
-            }
-          }
-        }
-        if (epilogue != Epilogue::kNone && bias != nullptr) {
-          const float* b = bias + co0;
-          for (std::int64_t j = 0; j < nvec; ++j) {
-            acc[j] = _mm512_add_ps(
-                acc[j], _mm512_maskz_loadu_ps(masks[j], b + j * 16));
-          }
-        }
-        if (epilogue == Epilogue::kBiasSwish) {
-          for (std::int64_t j = 0; j < nvec; ++j) {
-            const __m512 e =
-                sa::exp512_ps(_mm512_sub_ps(_mm512_setzero_ps(), acc[j]));
-            acc[j] = _mm512_mul_ps(
-                acc[j], _mm512_div_ps(one, _mm512_add_ps(one, e)));
-          }
-        } else if (epilogue == Epilogue::kBiasRelu) {
-          for (std::int64_t j = 0; j < nvec; ++j) {
-            acc[j] = _mm512_max_ps(acc[j], _mm512_setzero_ps());
-          }
-        }
-        for (std::int64_t j = 0; j < nvec; ++j) {
-          _mm512_mask_storeu_ps(out + co0 + j * 16, masks[j], acc[j]);
-        }
+    // Up to 64 output channels (4 zmm accumulators) per pixel stay in
+    // registers across all taps.
+    for (std::int64_t co0 = 0; co0 < out_c; co0 += 64) {
+      const std::int64_t oc = std::min<std::int64_t>(64, out_c - co0);
+      const std::int64_t nvec = (oc + 15) / 16;
+      __mmask16 masks[4];
+      for (std::int64_t j = 0; j < nvec; ++j) masks[j] = head_mask16(oc - j * 16);
+      const float* b = epi.bias != nullptr ? epi.bias + co0 : nullptr;
+      const auto row_fn = [&](auto nv) {
+        conv_row<decltype(nv)::value>(g, out_c, x, x_row, w + co0, masks,
+                                      kh_lo, kh_hi, ow_lo, ow_hi, epi, b,
+                                      out_row + co0);
+      };
+      switch (nvec) {
+        case 1: row_fn(std::integral_constant<int, 1>{}); break;
+        case 2: row_fn(std::integral_constant<int, 2>{}); break;
+        case 3: row_fn(std::integral_constant<int, 3>{}); break;
+        default: row_fn(std::integral_constant<int, 4>{}); break;
       }
     }
   }

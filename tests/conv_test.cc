@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "nn/depthwise_conv.h"
 #include "nn/grad_check.h"
 #include "tensor/conv_direct.h"
+#include "tensor/ops.h"
 #include "tensor/simd.h"
 
 namespace podnet::nn {
@@ -343,6 +345,157 @@ TEST(DepthwiseDirectTest, ForwardAndBackwardMatchScalarAcrossLevels) {
                           3.0))
             << "dw c=" << tc.c << " level " << simd::level_name(request)
             << " at " << i;
+      }
+    }
+  }
+}
+
+// ---- Oracles: serial tap-order FMA and the span tail ----------------------
+
+// The interpreter's separate tail over an [rows, cols] output at the active
+// level: the row-wise add_inplace bias pass, then the span swish / relu.
+void span_tail(tensor::conv::Epilogue e, const float* bias, Index rows,
+               Index cols, std::vector<float>& y) {
+  namespace conv = tensor::conv;
+  if (e == conv::Epilogue::kNone) return;
+  const std::size_t w = static_cast<std::size_t>(cols);
+  if (bias != nullptr) {
+    for (Index r = 0; r < rows; ++r) {
+      tensor::add_inplace({bias, w}, {y.data() + r * cols, w});
+    }
+  }
+  std::vector<float> sig(y.size());
+  if (e == conv::Epilogue::kBiasSwish) tensor::swish(y, sig, y);
+  if (e == conv::Epilogue::kBiasRelu) tensor::relu(y, y);
+}
+
+bool same_bits(const std::vector<float>& a, const float* b) {
+  return std::memcmp(a.data(), b, a.size() * sizeof(float)) == 0;
+}
+
+struct EpilogueCase {
+  tensor::conv::Epilogue epilogue;
+  bool bias;
+};
+
+constexpr EpilogueCase kEpilogues[] = {
+    {tensor::conv::Epilogue::kNone, false},
+    {tensor::conv::Epilogue::kBias, true},
+    {tensor::conv::Epilogue::kBiasSwish, true},
+    {tensor::conv::Epilogue::kBiasRelu, true},
+    {tensor::conv::Epilogue::kBiasSwish, false},
+    {tensor::conv::Epilogue::kBiasRelu, false},
+};
+
+TEST(DirectConvOracleTest, MatchesSerialTapOrderFmaBitwise) {
+  namespace conv = tensor::conv;
+  namespace simd = tensor::simd;
+  // Interior pixels run in blocks of 8/4 (AVX-512) or 8/4/2 (AVX2) by
+  // out_c; these widths leave remainders after the blocks at every
+  // kernel/stride, and the out_c values straddle the lane blocks.
+  const Index out_cs[] = {1, 7, 16, 17, 33, 64};
+  const Index widths[] = {13, 17, 22};
+  Rng rng(53);
+  int iter = 0;
+  for (const Index kernel : {3, 5}) {
+    for (const Index stride : {1, 2}) {
+      for (const Index out_c : out_cs) {
+        for (const Index in_w : widths) {
+          const Index in_c = 1 + 3 * (iter++ % 3);  // 1, 4, 7
+          const auto g =
+              tensor::ConvGeometry::same(2, 5, in_w, in_c, kernel, stride);
+          Tensor x = Tensor::randn(Shape{2, 5, in_w, in_c}, rng);
+          Tensor w = Tensor::randn(Shape{kernel, kernel, in_c, out_c}, rng);
+          Tensor b = Tensor::randn(Shape{out_c}, rng);
+          // Per output element: taps (kh, kw, ci) ascending, one std::fma
+          // accumulator from zero.
+          const Index rows = g.batch * g.out_h * g.out_w;
+          std::vector<float> core(static_cast<std::size_t>(rows * out_c));
+          for (Index r = 0; r < rows; ++r) {
+            const Index n = r / (g.out_h * g.out_w);
+            const Index oh = r / g.out_w % g.out_h;
+            const Index ow = r % g.out_w;
+            for (Index co = 0; co < out_c; ++co) {
+              float acc = 0.f;
+              for (Index kh = 0; kh < kernel; ++kh) {
+                const Index ih = oh * stride - g.pad_top + kh;
+                if (ih < 0 || ih >= g.in_h) continue;
+                for (Index kw = 0; kw < kernel; ++kw) {
+                  const Index iw = ow * stride - g.pad_left + kw;
+                  if (iw < 0 || iw >= g.in_w) continue;
+                  for (Index ci = 0; ci < in_c; ++ci) {
+                    acc = std::fma(
+                        x.data()[((n * g.in_h + ih) * g.in_w + iw) * in_c +
+                                 ci],
+                        w.data()[((kh * kernel + kw) * in_c + ci) * out_c +
+                                 co],
+                        acc);
+                  }
+                }
+              }
+              core[static_cast<std::size_t>(r * out_c + co)] = acc;
+            }
+          }
+          for (const simd::Level level :
+               {simd::Level::kAvx2, simd::Level::kAvx512}) {
+            if (simd::detected_level() < level) continue;
+            simd::ScopedLevel lvl(level);
+            for (const EpilogueCase& e : kEpilogues) {
+              const float* bias = e.bias ? b.data() : nullptr;
+              std::vector<float> want = core;
+              span_tail(e.epilogue, bias, rows, out_c, want);
+              std::vector<float> got(want.size());
+              conv::conv2d_direct(g, out_c, x.data(), w.data(), bias,
+                                  e.epilogue, got.data());
+              ASSERT_TRUE(same_bits(want, got.data()))
+                  << simd::level_name(level) << " k=" << kernel
+                  << " s=" << stride << " out_c=" << out_c << " w=" << in_w
+                  << " epilogue=" << static_cast<int>(e.epilogue)
+                  << " bias=" << e.bias;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DepthwiseEpilogueTest, InKernelTailEqualsForwardPlusSpanTail) {
+  namespace conv = tensor::conv;
+  namespace simd = tensor::simd;
+  struct Case { Index kernel, stride, hw; };
+  // hw 14 at 3x3 stride 1 engages the interior fast path.
+  const Case cases[] = {{3, 1, 6}, {3, 1, 14}, {5, 1, 9}, {3, 2, 9},
+                        {5, 2, 11}};
+  Rng rng(59);
+  for (const Index c : {1, 8, 15, 16, 17, 32, 33, 40}) {
+    for (const Case& tc : cases) {
+      const auto g = tensor::ConvGeometry::same(2, tc.hw, tc.hw, c,
+                                                tc.kernel, tc.stride);
+      Tensor x = Tensor::randn(Shape{2, tc.hw, tc.hw, c}, rng);
+      Tensor w = Tensor::randn(Shape{tc.kernel, tc.kernel, c}, rng);
+      Tensor b = Tensor::randn(Shape{c}, rng);
+      const Index rows = g.batch * g.out_h * g.out_w;
+      for (const simd::Level level :
+           {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+        if (simd::detected_level() < level) continue;
+        simd::ScopedLevel lvl(level);
+        std::vector<float> plain(static_cast<std::size_t>(rows * c));
+        conv::depthwise_forward(g, x.data(), w.data(), plain.data());
+        for (const EpilogueCase& e : kEpilogues) {
+          const float* bias = e.bias ? b.data() : nullptr;
+          std::vector<float> want = plain;
+          span_tail(e.epilogue, bias, rows, c, want);
+          std::vector<float> got(want.size());
+          conv::depthwise_forward(g, x.data(), w.data(), bias, e.epilogue,
+                                  got.data());
+          ASSERT_TRUE(same_bits(want, got.data()))
+              << simd::level_name(level) << " c=" << c
+              << " k=" << tc.kernel << " s=" << tc.stride
+              << " hw=" << tc.hw
+              << " epilogue=" << static_cast<int>(e.epilogue)
+              << " bias=" << e.bias;
+        }
       }
     }
   }
